@@ -56,10 +56,6 @@ struct HostSlot {
   /// host delivered, and terminal soft failures it reported.
   std::uint64_t done_here = 0;
   std::uint64_t failed_here = 0;
-  /// Latest fourbit.status/1 snapshot forwarded over FT; folded into
-  /// the coordinator board when the session dies so merged counters
-  /// stay monotonic across reconnects.
-  std::optional<StatusSnapshot> status;
 
   [[nodiscard]] std::string name() const {
     return addr.host + ":" + std::to_string(addr.port);
@@ -213,10 +209,14 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
     return trials.front().seed + 0x9E3779B97F4A7C15ULL * (h.index + 1);
   };
 
-  // Merged-status accumulator: metrics absorbed from dead host
-  // sessions; live sessions contribute their latest forwarded snapshot
-  // at publish time, and the local fallback feeds it directly.
+  // Campaign metrics: settled trials' final registries from kTrialDone
+  // records, plus each live session's forwarded view. Host views are
+  // keyed past the last trial index, so they never collide with the
+  // local fallback's per-trial views.
   StatusBoard status_board;
+  const auto live_key = [&](const HostSlot& h) {
+    return trials.size() + h.index;
+  };
 
   const auto session_death = [&](HostSlot& h, const std::string& why) {
     if (h.fd < 0) return;
@@ -226,13 +226,9 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
     h.parser = TransportParser{};
     ++report.host_losses;
     ++h.losses;
-    // The dead session's last forwarded metrics move into the
-    // coordinator's board so the merged counters never regress when the
-    // host reconnects with a fresh registry.
-    if (h.status) {
-      status_board.absorb_metrics(*h.status);
-      h.status.reset();
-    }
+    // Whatever the session had in flight is re-leased or failed; none
+    // of its partial work may count.
+    status_board.drop_live(live_key(h));
     // The trials in flight when the host died are hard-crash suspects,
     // exactly like trials in flight during a worker death: count the
     // crash against each, quarantine past max_trial_crashes.
@@ -346,18 +342,31 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
         h.progress_this_session = true;
         h.fruitless = 0;
         h.in_flight.erase(index);
-        h.started_at.erase(index);
+        if (const auto it = h.started_at.find(index);
+            it != h.started_at.end()) {
+          status_board.record_trial_wall(it->second);
+          h.started_at.erase(it);
+        }
+        // The session's next kStatus restores its other live trials.
+        status_board.drop_live(live_key(h));
         if (rec.retried_total >= h.last_retried_total) {
           const std::uint32_t delta = rec.retried_total - h.last_retried_total;
           report.retries += delta;
           report.attempts += delta;  // every retry is one more invocation
           h.last_retried_total = rec.retried_total;
         }
-        if (index >= trials.size() || settled(index)) return true;
-        // kTrialDone is liveness only: completion is settled by the
-        // result frame that follows (the wire twin of "results never
-        // ride the pipe; they ride the journal").
-        if (rec.kind == WorkerRecordKind::kTrialDone) return true;
+        if (index >= trials.size() || failed_bit[index]) return true;
+        if (rec.kind == WorkerRecordKind::kTrialDone) {
+          // Completion is settled by the result frame that follows (the
+          // wire twin of "results never ride the pipe; they ride the
+          // journal"); the trial's final metrics ride here, last-wins
+          // per index like results.
+          if (auto metrics = decode_status_snapshot(rec.what)) {
+            status_board.settle_metrics(index, std::move(*metrics));
+          }
+          return true;
+        }
+        if (report.completed[index]) return true;
         ++report.attempts;
         failed_bit[index] = 1;
         ++h.failed_here;
@@ -397,14 +406,13 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
       case TransportFrame::Type::kControl: {
         const ControlMessage& m = frame.control;
         if (m.kind == ControlKind::kStatus) {
-          // Off-band observability: refresh this host's contribution to
-          // the merged snapshot. Liveness only — never progress, never
-          // trial accounting. Undecodable payloads are dropped (the CRC
+          // Off-band observability: the host's live view replaces its
+          // previous one. Liveness only — never progress, never trial
+          // accounting. Undecodable payloads are dropped (the CRC
           // passed; this is version skew, not line noise).
-          auto snap = decode_status_snapshot(std::span<const std::uint8_t>{
-              reinterpret_cast<const std::uint8_t*>(m.text.data()),
-              m.text.size()});
-          if (snap) h.status = std::move(*snap);
+          if (auto live = decode_status_snapshot(m.text)) {
+            status_board.set_live(live_key(h), std::move(*live));
+          }
           return true;
         }
         if (m.kind != ControlKind::kLeaseComplete) {
@@ -439,9 +447,8 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
     return true;
   };
 
-  // Merged fourbit.status/1 publication: coordinator lifecycle truth,
-  // per-host lease state/health, absorbed dead-session metrics, and
-  // every live host's latest forwarded snapshot. The fallback counters
+  // fourbit.status/1 publication: coordinator lifecycle truth, per-host
+  // lease state/health, and the board's metrics. The fallback counters
   // are atomics because during the degradation pass a StatusPublisher
   // thread reads them while run_supervised's callback writes them.
   const bool status_publishing =
@@ -482,7 +489,6 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
       src.losses = h.losses;
       src.fruitless = h.fruitless;
       src.lease = format_index_spans(h.lease);
-      if (h.status) merge_status_metrics(snap, *h.status);
       snap.sources.push_back(std::move(src));
     }
     const double elapsed =
@@ -520,6 +526,7 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
       bye.kind = ControlKind::kShutdown;
       const auto frame = encode_control_message(bye);
       for (auto& h : hosts) {
+        status_board.drop_live(live_key(h));
         if (h.fd < 0) continue;
         write_all_fd(h.fd, frame.data(), frame.size());
         ::close(h.fd);
@@ -817,8 +824,14 @@ void run_lease(const std::vector<ExperimentConfig>& trials,
   CampaignReport rep;
   std::set<std::size_t> streamed;
   if (!subset.empty()) {
+    // The lease's board: the worker pool or the in-process supervisor
+    // feeds it, kTrialDone records carry each settled trial's metrics
+    // from it, and its live view flows back over FT as kStatus control
+    // frames. The agent itself never writes a --status-json file.
+    StatusBoard board;
     SupervisorOptions sopts = base;
     sopts.subset = subset;
+    sopts.status = &board;
     sopts.on_trial_start = [&](std::size_t index,
                                const ExperimentConfig& config) {
       WorkerRecord rec;
@@ -844,6 +857,7 @@ void run_lease(const std::vector<ExperimentConfig>& trials,
       } else {
         rec.kind = WorkerRecordKind::kTrialDone;
         rec.attempt = 1;
+        rec.what = status_payload(board.trial_metrics(p.trial_index));
       }
       writer.send(encode_worker_record(rec));
       // In-process leases have the result right here: stream it now,
@@ -856,20 +870,13 @@ void run_lease(const std::vector<ExperimentConfig>& trials,
         streamed.insert(p.trial_index);
       }
     };
-    // Lease-local status flows back over FT as kStatus control frames;
-    // the coordinator merges it into the campaign-wide snapshot. The
-    // agent itself never writes a --status-json file.
-    const std::uint32_t lease_id = grant.lease;
-    const auto forward_status = [&writer,
-                                 lease_id](const StatusSnapshot& snap) {
+    StatusPublisher publisher{cli.status_interval_ms, [&] {
       ControlMessage m;
       m.kind = ControlKind::kStatus;
-      m.lease = lease_id;
-      const auto bytes = encode_status_snapshot(snap);
-      m.text.assign(reinterpret_cast<const char*>(bytes.data()),
-                    bytes.size());
+      m.lease = grant.lease;
+      m.text = status_payload(board.live_view());
       writer.send(encode_control_message(m));
-    };
+    }};
     if (cli.workers > 0) {
       // The lease rides the PR 7 worker pool: trial SIGSEGVs take down
       // a worker process, not this agent.
@@ -880,24 +887,8 @@ void run_lease(const std::vector<ExperimentConfig>& trials,
       mp.heartbeat_interval_ms = cli.worker_heartbeat_ms;
       mp.trial_timeout_ms =
           cli.max_trial_ms != 0 ? cli.max_trial_ms * 2 + 5000 : 0;
-      mp.status_interval_ms = cli.status_interval_ms;
-      mp.status_total = trials.size();
-      mp.on_status = forward_status;
       rep = run_multiprocess(trials, mp);
     } else {
-      StatusBoard board;
-      sopts.status = &board;
-      const auto lease_start = Clock::now();
-      std::uint64_t seq = 0;
-      StatusPublisher publisher{cli.status_interval_ms, [&] {
-        StatusSnapshot snap;
-        board.fill_snapshot(snap);
-        const double elapsed =
-            std::chrono::duration<double>(Clock::now() - lease_start)
-                .count();
-        stamp_status(snap, ++seq, elapsed, trials.size());
-        forward_status(snap);
-      }};
       rep = run_supervised(trials, sopts);
     }
     session_retries += static_cast<std::uint32_t>(rep.retries);

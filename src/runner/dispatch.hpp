@@ -84,9 +84,9 @@ struct DispatchOptions {
   /// on a machine we cannot signal).
   std::uint64_t trial_timeout_ms = 0;
 
-  /// Live observability: publish a merged fourbit.status/1 snapshot —
-  /// per-host lease state and health plus every host's forwarded
-  /// metrics — to status_path every status_interval_ms
+  /// Live observability: publish a fourbit.status/1 snapshot — per-host
+  /// lease state and health plus the settled trials' metrics and every
+  /// host's live view — to status_path every status_interval_ms
   /// (write-temp-then-rename), and/or hand it to on_status. Strictly
   /// off-band; empty/null disables.
   std::string status_path;

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -80,16 +81,17 @@ struct ExperimentConfig {
   std::string flight_flush_path;
   std::uint64_t flight_flush_every_events = 65536;
 
-  /// Live-observability hooks (runtime-only; never serialized). A
-  /// non-null `status` board receives this trial's telemetry registry
-  /// periodically (the flush-hook cadence) and once at the end, keyed by
-  /// trace_trial — so live dashboards see mid-trial engine health
-  /// (sim/arena_bytes, sim/eq_resizes, phy counters) without waiting for
-  /// the trial-end JSONL footer. `profile_phases` arms the wall-clock
+  /// Live-observability hooks (runtime-only; never serialized). A set
+  /// `status` sink receives this trial's telemetry registry
+  /// periodically (the flush-hook cadence) and once at the end; the
+  /// supervisor binds it to the trial's index on its StatusBoard, so
+  /// live dashboards see mid-trial engine health (sim/arena_bytes,
+  /// sim/eq_resizes, phy counters) without waiting for the trial-end
+  /// JSONL footer. `profile_phases` arms the wall-clock
   /// phase timers (sim::PhaseTimer); samples are nondeterministic by
   /// nature, so identity-checked runs keep it off. Neither knob affects
   /// trial results, stdout, reports, or journal bytes.
-  class StatusBoard* status = nullptr;
+  std::function<void(const sim::TelemetryContext&)> status;
   bool profile_phases = false;
 };
 

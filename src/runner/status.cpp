@@ -1,5 +1,6 @@
 #include "runner/status.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
@@ -48,6 +49,46 @@ void append_format(std::string& out, const char* fmt, ...) {
                                  ? static_cast<std::size_t>(n)
                                  : sizeof buf - 1);
 }
+
+using StatusKey = std::pair<std::string, std::string>;
+
+/// Metric tables keyed by (component, name); std::map keeps snapshot
+/// rows in a deterministic order.
+struct MetricSum {
+  std::map<StatusKey, std::uint64_t> counters;
+  std::map<StatusKey, double> gauges;
+  std::map<StatusKey, sim::Histogram> histograms;
+
+  /// Counters and histograms add; gauges take the max.
+  void add(const StatusSnapshot& metrics) {
+    for (const auto& c : metrics.counters) {
+      counters[{c.component, c.name}] += c.value;
+    }
+    for (const auto& g : metrics.gauges) {
+      const auto [it, fresh] =
+          gauges.try_emplace({g.component, g.name}, g.value);
+      if (!fresh) it->second = std::max(it->second, g.value);
+    }
+    for (const auto& h : metrics.histograms) {
+      histograms[{h.component, h.name}].merge(h.hist);
+    }
+  }
+
+  void write(StatusSnapshot& out) const {
+    out.counters.clear();
+    for (const auto& [key, value] : counters) {
+      out.counters.push_back(StatusCounter{key.first, key.second, value});
+    }
+    out.gauges.clear();
+    for (const auto& [key, value] : gauges) {
+      out.gauges.push_back(StatusGauge{key.first, key.second, value});
+    }
+    out.histograms.clear();
+    for (const auto& [key, hist] : histograms) {
+      out.histograms.push_back(StatusHistogram{key.first, key.second, hist});
+    }
+  }
+};
 
 const char* source_kind_name(StatusSource::Kind kind) {
   switch (kind) {
@@ -224,6 +265,18 @@ std::optional<StatusSnapshot> decode_status_snapshot(
   return snapshot;
 }
 
+std::string status_payload(const StatusSnapshot& snapshot) {
+  const auto bytes = encode_status_snapshot(snapshot);
+  return {bytes.begin(), bytes.end()};
+}
+
+std::optional<StatusSnapshot> decode_status_snapshot(
+    const std::string& payload) {
+  return decode_status_snapshot(std::span<const std::uint8_t>{
+      reinterpret_cast<const std::uint8_t*>(payload.data()),
+      payload.size()});
+}
+
 std::string status_json(const StatusSnapshot& snapshot) {
   std::string out;
   out.reserve(1024);
@@ -344,38 +397,6 @@ bool write_status_file(const std::string& path, const std::string& json) {
   return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
-void merge_status_metrics(StatusSnapshot& into, const StatusSnapshot& part) {
-  std::map<std::pair<std::string, std::string>, std::uint64_t> counters;
-  for (auto& c : into.counters) counters[{c.component, c.name}] += c.value;
-  for (const auto& c : part.counters) {
-    counters[{c.component, c.name}] += c.value;
-  }
-  into.counters.clear();
-  for (const auto& [key, value] : counters) {
-    into.counters.push_back(StatusCounter{key.first, key.second, value});
-  }
-
-  std::map<std::pair<std::string, std::string>, double> gauges;
-  for (auto& g : into.gauges) gauges[{g.component, g.name}] = g.value;
-  for (const auto& g : part.gauges) gauges[{g.component, g.name}] = g.value;
-  into.gauges.clear();
-  for (const auto& [key, value] : gauges) {
-    into.gauges.push_back(StatusGauge{key.first, key.second, value});
-  }
-
-  std::map<std::pair<std::string, std::string>, sim::Histogram> hists;
-  for (auto& h : into.histograms) {
-    hists[{h.component, h.name}].merge(h.hist);
-  }
-  for (const auto& h : part.histograms) {
-    hists[{h.component, h.name}].merge(h.hist);
-  }
-  into.histograms.clear();
-  for (const auto& [key, hist] : hists) {
-    into.histograms.push_back(StatusHistogram{key.first, key.second, hist});
-  }
-}
-
 void stamp_status(StatusSnapshot& snapshot, std::uint64_t seq,
                   double elapsed_s, std::uint64_t total) {
   snapshot.seq = seq;
@@ -428,18 +449,31 @@ StatusPublisher::~StatusPublisher() {
 
 // ---- StatusBoard ------------------------------------------------------
 
-void StatusBoard::trial_started(std::uint64_t trial) {
+StatusSnapshot registry_metrics(const sim::TelemetryContext& telemetry) {
+  MetricSum sum;
+  for (const auto& row : telemetry.counters()) {
+    sum.counters[{row.component, row.name}] += row.value;
+  }
+  for (const auto& row : telemetry.gauges()) {
+    sum.gauges[{row.component, row.name}] += row.value;
+  }
+  for (const auto& row : telemetry.histograms()) {
+    sum.histograms[{row.component, row.name}].merge(row.hist);
+  }
+  StatusSnapshot out;
+  sum.write(out);
+  return out;
+}
+
+void StatusBoard::trial_started(std::uint64_t /*trial*/) {
   std::lock_guard lock{mutex_};
   ++in_flight_;
-  trial_counter_seen_.erase(trial);
-  trial_hist_seen_.erase(trial);
 }
 
 void StatusBoard::attempt_reset(std::uint64_t trial) {
   std::lock_guard lock{mutex_};
   ++retried_;
-  trial_counter_seen_.erase(trial);
-  trial_hist_seen_.erase(trial);
+  live_.erase(trial);
 }
 
 void StatusBoard::trial_settled(std::uint64_t trial, bool failed,
@@ -451,9 +485,11 @@ void StatusBoard::trial_settled(std::uint64_t trial, bool failed,
   } else {
     ++done_;
   }
-  histograms_[{"runner", "trial_wall_ms"}].record(wall_ms);
-  trial_counter_seen_.erase(trial);
-  trial_hist_seen_.erase(trial);
+  trial_wall_ms_.record(wall_ms);
+  auto live = live_.extract(trial);
+  if (!failed && !live.empty()) {
+    settled_.insert_or_assign(trial, std::move(live.mapped()));
+  }
 }
 
 void StatusBoard::add_replayed(std::uint64_t n) {
@@ -462,81 +498,34 @@ void StatusBoard::add_replayed(std::uint64_t n) {
   done_ += n;
 }
 
-void StatusBoard::publish_registry(std::uint64_t trial,
-                                   const sim::TelemetryContext& telemetry) {
-  // Aggregate the registry across nodes first (per-node rows share one
-  // (component, name) status key), then apply the per-trial delta so a
-  // repeated push counts each increment once. A current value below the
-  // last-seen one means the trial restarted (retry): take it whole.
-  std::map<Key, std::uint64_t> counters;
-  for (const auto& row : telemetry.counters()) {
-    counters[{row.component, row.name}] += row.value;
-  }
-  std::map<Key, double> gauges;
-  for (const auto& row : telemetry.gauges()) {
-    gauges[{row.component, row.name}] += row.value;
-  }
-  std::map<Key, sim::Histogram> hists;
-  for (const auto& row : telemetry.histograms()) {
-    hists[{row.component, row.name}].merge(row.hist);
-  }
-
+void StatusBoard::set_live(std::uint64_t key, StatusSnapshot metrics) {
   std::lock_guard lock{mutex_};
-  auto& counter_seen = trial_counter_seen_[trial];
-  for (const auto& [key, value] : counters) {
-    std::uint64_t& seen = counter_seen[key];
-    const std::uint64_t delta = value >= seen ? value - seen : value;
-    counters_[key] += delta;
-    seen = value;
-  }
-  for (const auto& [key, value] : gauges) {
-    gauges_[key] = value;
-  }
-  auto& hist_seen = trial_hist_seen_[trial];
-  for (const auto& [key, hist] : hists) {
-    sim::Histogram& seen = hist_seen[key];
-    sim::Histogram delta;
-    bool grew = hist.count >= seen.count;
-    if (grew) {
-      for (std::size_t i = 0; i < sim::kHistogramBins; ++i) {
-        if (hist.bins[i] < seen.bins[i]) {
-          grew = false;
-          break;
-        }
-      }
-    }
-    if (grew) {
-      for (std::size_t i = 0; i < sim::kHistogramBins; ++i) {
-        delta.bins[i] = hist.bins[i] - seen.bins[i];
-      }
-      delta.count = hist.count - seen.count;
-      delta.sum = hist.sum - seen.sum;
-    } else {
-      delta = hist;  // registry restarted: the whole thing is new
-    }
-    histograms_[key].merge(delta);
-    seen = hist;
-  }
+  live_.insert_or_assign(key, std::move(metrics));
 }
 
-void StatusBoard::absorb_metrics(const StatusSnapshot& snapshot) {
+void StatusBoard::drop_live(std::uint64_t key) {
   std::lock_guard lock{mutex_};
-  for (const auto& c : snapshot.counters) {
-    counters_[{c.component, c.name}] += c.value;
-  }
-  for (const auto& g : snapshot.gauges) {
-    gauges_[{g.component, g.name}] = g.value;
-  }
-  for (const auto& h : snapshot.histograms) {
-    histograms_[{h.component, h.name}].merge(h.hist);
-  }
+  live_.erase(key);
 }
 
-void StatusBoard::record_histogram(const std::string& component,
-                                   const std::string& name,
-                                   std::uint64_t value) {
+void StatusBoard::settle_metrics(std::uint64_t trial,
+                                 StatusSnapshot metrics) {
   std::lock_guard lock{mutex_};
-  histograms_[{component, name}].record(value);
+  settled_.insert_or_assign(trial, std::move(metrics));
+}
+
+StatusSnapshot StatusBoard::trial_metrics(std::uint64_t trial) const {
+  std::lock_guard lock{mutex_};
+  const auto it = settled_.find(trial);
+  return it != settled_.end() ? it->second : StatusSnapshot{};
+}
+
+void StatusBoard::record_trial_wall(
+    std::chrono::steady_clock::time_point started) {
+  const auto wall = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - started);
+  std::lock_guard lock{mutex_};
+  trial_wall_ms_.record(static_cast<std::uint64_t>(wall.count()));
 }
 
 void StatusBoard::fill_snapshot(StatusSnapshot& out) const {
@@ -546,18 +535,22 @@ void StatusBoard::fill_snapshot(StatusSnapshot& out) const {
   out.retried = retried_;
   out.in_flight = in_flight_;
   out.replayed = replayed_;
-  out.counters.clear();
-  for (const auto& [key, value] : counters_) {
-    out.counters.push_back(StatusCounter{key.first, key.second, value});
+  MetricSum sum;
+  for (const auto& [trial, metrics] : settled_) sum.add(metrics);
+  for (const auto& [key, metrics] : live_) sum.add(metrics);
+  if (trial_wall_ms_.count != 0) {
+    sum.histograms[{"runner", "trial_wall_ms"}].merge(trial_wall_ms_);
   }
-  out.gauges.clear();
-  for (const auto& [key, value] : gauges_) {
-    out.gauges.push_back(StatusGauge{key.first, key.second, value});
-  }
-  out.histograms.clear();
-  for (const auto& [key, hist] : histograms_) {
-    out.histograms.push_back(StatusHistogram{key.first, key.second, hist});
-  }
+  sum.write(out);
+}
+
+StatusSnapshot StatusBoard::live_view() const {
+  std::lock_guard lock{mutex_};
+  MetricSum sum;
+  for (const auto& [key, metrics] : live_) sum.add(metrics);
+  StatusSnapshot out;
+  sum.write(out);
+  return out;
 }
 
 }  // namespace fourbit::runner

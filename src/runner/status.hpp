@@ -4,18 +4,20 @@
 // A StatusSnapshot is a point-in-time picture of a running campaign:
 // trial lifecycle counts (done/failed/retried/in-flight), throughput and
 // ETA, one row per worker/host source with its lease state and health,
-// and the merged telemetry registry (counters summed, gauges last-wins,
-// histograms merged bin-wise). Workers serialize snapshots over the FW
-// pipe (WorkerRecordKind::kStatus), host agents over the FT control
-// socket (ControlKind::kStatus); the coordinator merges them and
-// publishes the result via `--status-json` (write-temp-then-rename, so
-// the file is always one complete JSON object) and the live ticker.
+// and the campaign's telemetry metrics (StatusBoard: the final registries
+// of settled trials plus the live view of trials still running). Workers
+// stream their live view over the FW pipe (WorkerRecordKind::kStatus)
+// and each settled trial's final registry in its kTrialDone record; host
+// agents do the same over the FT socket. The coordinator publishes via
+// `--status-json` (write-temp-then-rename, so the file is always one
+// complete JSON object) and the live ticker.
 //
 // Everything here is strictly off-band: snapshots never touch stdout,
 // CampaignReport, or `--journal` files, so clean-run bytes are identical
 // with or without status enabled.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -25,7 +27,6 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -97,6 +98,10 @@ struct StatusSnapshot {
     const StatusSnapshot& snapshot);
 [[nodiscard]] std::optional<StatusSnapshot> decode_status_snapshot(
     std::span<const std::uint8_t> payload);
+/// The same codec for payloads carried in a record's string field.
+[[nodiscard]] std::string status_payload(const StatusSnapshot& snapshot);
+[[nodiscard]] std::optional<StatusSnapshot> decode_status_snapshot(
+    const std::string& payload);
 
 /// Renders one `fourbit.status/1` JSON object (single line, trailing
 /// newline included) with histogram percentiles precomputed.
@@ -105,11 +110,6 @@ struct StatusSnapshot {
 /// Write-temp-then-rename publisher: a reader polling `path` observes
 /// either the previous complete snapshot or this one, never a torn mix.
 bool write_status_file(const std::string& path, const std::string& json);
-
-/// Folds `part`'s registry metrics into `into` (counters summed, gauges
-/// last-wins, histograms merged). Lifecycle counts and sources are NOT
-/// touched: the caller owns those.
-void merge_status_metrics(StatusSnapshot& into, const StatusSnapshot& part);
 
 /// Stamps sequencing and timing onto an assembled snapshot: trials_per_s
 /// counts only fresh completions (journal replays excluded), eta_s
@@ -138,56 +138,61 @@ class StatusPublisher {
   std::thread thread_;
 };
 
-/// Thread-safe accumulator fed by trial threads on the side that runs
-/// trials (local supervisor, worker process, host agent). Trials push
-/// their whole telemetry registry periodically (the flush-hook cadence)
-/// and once at settle; the board turns repeated pushes into deltas keyed
-/// by (trial, component, name) so the aggregate counts each increment
-/// exactly once, aggregated across nodes and trials.
+/// A telemetry registry as status metrics: per-node rows aggregated
+/// into one row per (component, name) — counters and gauges summed,
+/// histograms merged. Lifecycle fields stay zero.
+[[nodiscard]] StatusSnapshot registry_metrics(
+    const sim::TelemetryContext& telemetry);
+
+/// Thread-safe campaign accumulator. Metrics come in two kinds:
+///   * totals — the final registry of each settled trial, stored by
+///     trial index (a repeated settle of one index is last-wins, the
+///     rule results use). Summed at snapshot time: counters and
+///     histograms add, gauges take the max over trials, so totals do
+///     not depend on completion order.
+///   * live views — the latest registry of work still running, keyed by
+///     trial index where trials run and by source on a coordinator.
+///     Each push replaces the view whole; a view never enters totals.
+/// A retried or failed attempt's live view is dropped, so nothing a
+/// trial did before its settling attempt is ever counted.
 class StatusBoard {
  public:
-  // ---- trial lifecycle (supervisor thread / worker threads) ----------
+  // ---- trial lifecycle (where trials run) ----------------------------
   void trial_started(std::uint64_t trial);
-  /// A failed attempt about to be retried: per-trial delta state resets
-  /// (the retry's registry restarts from zero).
+  /// A failed attempt about to be retried: its live view is dropped.
   void attempt_reset(std::uint64_t trial);
+  /// A clean settle moves the trial's live view into the totals; a
+  /// failed one drops it. The wall time is one "runner"/"trial_wall_ms"
+  /// sample either way.
   void trial_settled(std::uint64_t trial, bool failed,
                      std::uint64_t wall_ms);
   void add_replayed(std::uint64_t n);
 
-  // ---- registry feed (trial threads, mid-trial + at settle) ----------
-  void publish_registry(std::uint64_t trial,
-                        const sim::TelemetryContext& telemetry);
-
-  /// Permanently folds a remote source's last snapshot metrics into this
-  /// board (used when a worker/host session dies: its partial registry
-  /// contribution survives the respawn, keeping merged counters
-  /// monotonic).
-  void absorb_metrics(const StatusSnapshot& snapshot);
-
-  /// Records one sample into a board-level histogram (e.g. the
-  /// coordinator's "runner"/"trial_wall_ms").
-  void record_histogram(const std::string& component,
-                        const std::string& name, std::uint64_t value);
+  // ---- metrics ---------------------------------------------------------
+  void set_live(std::uint64_t key, StatusSnapshot metrics);
+  void drop_live(std::uint64_t key);
+  /// Stores a trial's final metrics in the totals (last-wins per index);
+  /// coordinators call it with what a worker or host reported.
+  void settle_metrics(std::uint64_t trial, StatusSnapshot metrics);
+  /// A settled trial's final metrics (empty tables when none).
+  [[nodiscard]] StatusSnapshot trial_metrics(std::uint64_t trial) const;
+  /// One "runner"/"trial_wall_ms" sample for a trial that settled
+  /// elsewhere, timed by a coordinator from the trial's start record.
+  void record_trial_wall(std::chrono::steady_clock::time_point started);
 
   // ---- snapshot assembly ---------------------------------------------
-  /// Fills lifecycle counts and sorted metric tables into `out`
-  /// (deterministic order: std::map iteration). Leaves seq, total,
-  /// timing, and sources for the caller.
+  /// Lifecycle counts plus totals and every live view, in sorted
+  /// (component, name) order. Leaves seq, total, timing, and sources
+  /// for the caller.
   void fill_snapshot(StatusSnapshot& out) const;
+  /// The live views alone: what a worker or host streams upward.
+  [[nodiscard]] StatusSnapshot live_view() const;
 
  private:
-  using Key = std::pair<std::string, std::string>;  // (component, name)
-
   mutable std::mutex mutex_;
-  std::map<Key, std::uint64_t> counters_;
-  std::map<Key, double> gauges_;
-  std::map<Key, sim::Histogram> histograms_;
-  // Per-live-trial last-seen registry values for delta computation.
-  std::unordered_map<std::uint64_t, std::map<Key, std::uint64_t>>
-      trial_counter_seen_;
-  std::unordered_map<std::uint64_t, std::map<Key, sim::Histogram>>
-      trial_hist_seen_;
+  std::map<std::uint64_t, StatusSnapshot> settled_;
+  std::map<std::uint64_t, StatusSnapshot> live_;
+  sim::Histogram trial_wall_ms_;
   std::uint64_t done_ = 0;
   std::uint64_t failed_ = 0;
   std::uint64_t retried_ = 0;

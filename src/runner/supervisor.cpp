@@ -214,11 +214,17 @@ CampaignReport run_supervised(const std::vector<ExperimentConfig>& trials,
       }
 
       // Live status is strictly observational: the board sees lifecycle
-      // edges and registry pushes, and nothing it does can reach the
-      // result, the report, or the journal.
-      config.status = options.status;
+      // edges and registry pushes under this trial's index, and nothing
+      // it does can reach the result, the report, or the journal.
+      config.status = nullptr;
+      if (options.status != nullptr) {
+        config.status = [board = options.status,
+                         i](const sim::TelemetryContext& telemetry) {
+          board->set_live(i, registry_metrics(telemetry));
+        };
+        options.status->trial_started(i);
+      }
       if (options.profile_phases) config.profile_phases = true;
-      if (options.status != nullptr) options.status->trial_started(i);
       const auto trial_begin = std::chrono::steady_clock::now();
 
       if (options.on_trial_start) options.on_trial_start(i, config);

@@ -413,7 +413,7 @@ void run_worker(const std::vector<ExperimentConfig>& trials,
     rec.seed = config.seed;
     writer->send(rec);
   };
-  options.on_trial_done = [writer](const TrialProgress& p) {
+  options.on_trial_done = [writer, board](const TrialProgress& p) {
     WorkerRecord rec;
     rec.trial_index = static_cast<std::uint32_t>(p.trial_index);
     rec.retried_total = static_cast<std::uint32_t>(p.retried);
@@ -428,6 +428,7 @@ void run_worker(const std::vector<ExperimentConfig>& trials,
       rec.kind = WorkerRecordKind::kTrialDone;
       rec.seed = p.config != nullptr ? p.config->seed : 0;
       rec.attempt = 1;
+      rec.what = status_payload(board->trial_metrics(p.trial_index));
     }
     writer->send(rec);
   };
@@ -436,27 +437,15 @@ void run_worker(const std::vector<ExperimentConfig>& trials,
   const auto interval =
       std::chrono::milliseconds(std::max<std::uint64_t>(
           10, cli.worker_heartbeat_ms));
-  // Status snapshots piggyback on the heartbeat thread at their own
-  // (slower) cadence: one extra frame kind on an existing liveness
-  // channel, zero new threads.
+  // Live views piggyback on the heartbeat thread at their own (slower)
+  // cadence: one extra frame kind on an existing liveness channel, zero
+  // new threads. Settled trials' metrics ride their kTrialDone records.
   const auto status_every = std::chrono::milliseconds(
       std::max<std::uint64_t>(10, cli.status_interval_ms));
-  const std::uint64_t my_total = spans->size();
-  const auto worker_start = std::chrono::steady_clock::now();
-  std::uint64_t status_seq = 0;
-  const auto send_status = [writer, board, my_total, worker_start,
-                            &status_seq] {
-    StatusSnapshot snap;
-    board->fill_snapshot(snap);
-    const double elapsed = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - worker_start)
-                               .count();
-    stamp_status(snap, ++status_seq, elapsed, my_total);
-    const auto bytes = encode_status_snapshot(snap);
+  const auto send_status = [writer, board] {
     WorkerRecord rec;
     rec.kind = WorkerRecordKind::kStatus;
-    rec.what.assign(reinterpret_cast<const char*>(bytes.data()),
-                    bytes.size());
+    rec.what = status_payload(board->live_view());
     writer->send(std::move(rec));
   };
   std::thread heartbeat{[writer, &finished, interval, status_every,
@@ -479,7 +468,6 @@ void run_worker(const std::vector<ExperimentConfig>& trials,
 
   finished.store(true, std::memory_order_release);
   heartbeat.join();
-  send_status();  // the final, settled picture of this shard
   WorkerRecord bye;
   bye.kind = WorkerRecordKind::kBye;
   writer->send(bye);
@@ -510,10 +498,9 @@ struct WorkerSlot {
   Clock::time_point last_heard{};
   std::optional<Clock::time_point> respawn_at;  // dead, awaiting backoff
   bool retired = false;  // nothing left to do, no live process
-  /// Latest fourbit.status/1 snapshot this incarnation streamed; folded
-  /// into the coordinator's board when the worker dies so merged
-  /// counters stay monotonic across respawns.
-  std::optional<StatusSnapshot> status;
+  /// Trials this slot settled, across every incarnation.
+  std::uint64_t done_here = 0;
+  std::uint64_t failed_here = 0;
 };
 
 }  // namespace
@@ -614,9 +601,10 @@ CampaignReport run_multiprocess(const std::vector<ExperimentConfig>& trials,
     return rem;
   };
 
-  const auto emit_progress = [&](std::size_t index,
+  const auto emit_progress = [&](WorkerSlot& slot, std::size_t index,
                                  const TrialFailure* failure) {
     ++progress_done;
+    ++(failure != nullptr ? slot.failed_here : slot.done_here);
     if (failure != nullptr) ++failed_count;
     if (options.supervisor.on_trial_done) {
       TrialProgress p;
@@ -632,12 +620,15 @@ CampaignReport run_multiprocess(const std::vector<ExperimentConfig>& trials,
     }
   };
 
-  // Merged-status accumulator: holds metrics absorbed from dead worker
-  // incarnations; live slots contribute their latest snapshot directly
-  // at publish time.
-  StatusBoard status_board;
+  // Campaign metrics: settled trials' final registries from kTrialDone
+  // records, plus each live worker's latest view keyed by slot id. A
+  // caller's board (a host agent's lease) is fed instead when given.
+  StatusBoard own_board;
+  StatusBoard& status_board = options.supervisor.status != nullptr
+                                  ? *options.supervisor.status
+                                  : own_board;
 
-  const auto fail_hard = [&](std::size_t index, const WorkerSlot& slot,
+  const auto fail_hard = [&](std::size_t index, WorkerSlot& slot,
                              const std::string& what, int sig) {
     if (settled(index)) return;
     failed_bit[index] = 1;
@@ -657,10 +648,10 @@ CampaignReport run_multiprocess(const std::vector<ExperimentConfig>& trials,
       }
     }
     report.failures.push_back(std::move(failure));
-    emit_progress(index, &report.failures.back());
+    emit_progress(slot, index, &report.failures.back());
   };
 
-  const auto fail_timeout = [&](std::size_t index) {
+  const auto fail_timeout = [&](WorkerSlot& slot, std::size_t index) {
     if (settled(index)) return;
     failed_bit[index] = 1;
     ++report.attempts;
@@ -673,7 +664,7 @@ CampaignReport run_multiprocess(const std::vector<ExperimentConfig>& trials,
     failure.seed = trials[index].seed;
     failure.attempt = 1;
     report.failures.push_back(std::move(failure));
-    emit_progress(index, &report.failures.back());
+    emit_progress(slot, index, &report.failures.back());
   };
 
   const auto handle_record = [&](WorkerSlot& slot, WorkerRecord rec) {
@@ -683,21 +674,24 @@ CampaignReport run_multiprocess(const std::vector<ExperimentConfig>& trials,
       case WorkerRecordKind::kHeartbeat:
       case WorkerRecordKind::kBye:
         return;
-      case WorkerRecordKind::kStatus: {
-        // Strictly off-band: a snapshot is neither progress nor trial
-        // accounting, it only refreshes this slot's contribution to the
-        // next merged publication. An undecodable payload is dropped
-        // (the CRC already passed; this is a version skew, not noise).
-        auto snap = decode_status_snapshot(std::span<const std::uint8_t>{
-            reinterpret_cast<const std::uint8_t*>(rec.what.data()),
-            rec.what.size()});
-        if (snap) slot.status = std::move(*snap);
+      case WorkerRecordKind::kStatus:
+        // Strictly off-band: the worker's live view replaces this slot's
+        // previous one; it is neither progress nor trial accounting. An
+        // undecodable payload is dropped (the CRC already passed; this
+        // is a version skew, not noise).
+        if (auto live = decode_status_snapshot(rec.what)) {
+          status_board.set_live(slot.id, std::move(*live));
+        }
         return;
-      }
       case WorkerRecordKind::kTrialStart:
         if (index < trials.size() && !settled(index)) {
           slot.in_flight.insert(index);
           slot.started_at[index] = Clock::now();
+          // A host agent's pool lease relays starts upward, exactly as
+          // its in-process leases do.
+          if (options.supervisor.on_trial_start) {
+            options.supervisor.on_trial_start(index, trials[index]);
+          }
         }
         slot.progress_since_spawn = true;
         slot.fruitless_deaths = 0;
@@ -709,7 +703,14 @@ CampaignReport run_multiprocess(const std::vector<ExperimentConfig>& trials,
     slot.progress_since_spawn = true;
     slot.fruitless_deaths = 0;
     slot.in_flight.erase(index);
-    slot.started_at.erase(index);
+    if (const auto it = slot.started_at.find(index);
+        it != slot.started_at.end()) {
+      status_board.record_trial_wall(it->second);
+      slot.started_at.erase(it);
+    }
+    // The live view may still hold this trial's partial registry; the
+    // worker's next kStatus restores the rest.
+    status_board.drop_live(slot.id);
     if (rec.retried_total >= slot.last_retried_total) {
       const std::uint32_t delta = rec.retried_total - slot.last_retried_total;
       report.retries += delta;
@@ -722,7 +723,10 @@ CampaignReport run_multiprocess(const std::vector<ExperimentConfig>& trials,
       // result itself is durable in the shard; it is merged at the end.
       if (rec.attempt != 0) ++report.attempts;
       report.completed[index] = 1;
-      emit_progress(index, nullptr);
+      if (auto metrics = decode_status_snapshot(rec.what)) {
+        status_board.settle_metrics(index, std::move(*metrics));
+      }
+      emit_progress(slot, index, nullptr);
       return;
     }
     ++report.attempts;
@@ -735,7 +739,7 @@ CampaignReport run_multiprocess(const std::vector<ExperimentConfig>& trials,
     failure.attempt = rec.attempt;
     failure.flight = std::move(rec.flight);
     report.failures.push_back(std::move(failure));
-    emit_progress(index, &report.failures.back());
+    emit_progress(slot, index, &report.failures.back());
   };
 
   const auto spawn = [&](WorkerSlot& slot) {
@@ -802,13 +806,9 @@ CampaignReport run_multiprocess(const std::vector<ExperimentConfig>& trials,
     ::close(slot.fd);
     slot.fd = -1;
     slot.pid = -1;
-    // The dead incarnation's last metrics move into the coordinator's
-    // board: merged counters stay monotonic across the respawn (the
-    // respawned worker's registry restarts from zero).
-    if (slot.status) {
-      status_board.absorb_metrics(*slot.status);
-      slot.status.reset();
-    }
+    // Whatever the dead incarnation had in flight is retried or failed;
+    // none of its partial work may count.
+    status_board.drop_live(slot.id);
 
     const bool corrupt = slot.parser.corrupt();
     const int sig = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
@@ -883,9 +883,9 @@ CampaignReport run_multiprocess(const std::vector<ExperimentConfig>& trials,
     while (auto rec = slot.parser.next()) handle_record(slot, *rec);
   };
 
-  // Merged fourbit.status/1 publication: coordinator lifecycle truth +
-  // absorbed dead-incarnation metrics + every live slot's latest
-  // snapshot, stamped and pushed to --status-json and/or on_status.
+  // fourbit.status/1 publication: coordinator lifecycle truth and the
+  // board's metrics, stamped and pushed to --status-json and/or
+  // on_status.
   const bool status_publishing =
       !options.status_path.empty() || static_cast<bool>(options.on_status);
   const auto campaign_start = Clock::now();
@@ -915,19 +915,13 @@ CampaignReport run_multiprocess(const std::vector<ExperimentConfig>& trials,
       src.losses = slot.respawns;
       src.fruitless = slot.fruitless_deaths;
       src.lease = format_index_spans(remaining_of(slot));
-      if (slot.status) {
-        src.done = slot.status->done;
-        src.failed = slot.status->failed;
-        merge_status_metrics(snap, *slot.status);
-      }
+      src.done = slot.done_here;
+      src.failed = slot.failed_here;
       snap.sources.push_back(std::move(src));
     }
     const double elapsed =
         std::chrono::duration<double>(Clock::now() - campaign_start).count();
-    stamp_status(snap, ++status_seq, elapsed,
-                 options.status_total != 0
-                     ? static_cast<std::uint64_t>(options.status_total)
-                     : trials.size());
+    stamp_status(snap, ++status_seq, elapsed, trials.size());
     if (!options.status_path.empty()) {
       write_status_file(options.status_path, status_json(snap));
     }
@@ -1042,7 +1036,7 @@ CampaignReport run_multiprocess(const std::vector<ExperimentConfig>& trials,
           for (const std::size_t index : overdue) {
             slot.in_flight.erase(index);
             slot.started_at.erase(index);
-            fail_timeout(index);
+            fail_timeout(slot, index);
           }
           worker_death(slot, false, "trial-timeout");
         }

@@ -59,13 +59,16 @@ enum class WorkerRecordKind : std::uint8_t {
   kHello = 0,      // first record after exec
   kHeartbeat = 1,  // liveness tick (heartbeat_interval_ms cadence)
   kTrialStart = 2, // a trial's first attempt is beginning
-  kTrialDone = 3,  // trial completed; its result is in the shard
+  /// Trial completed; its result is in the shard. `what` carries the
+  /// trial's final telemetry as a fourbit.status/1 payload.
+  kTrialDone = 3,
   kTrialFailed = 4,// trial failed terminally in-process (soft failure)
   kBye = 5,        // clean shutdown follows
-  /// Periodic observability snapshot: `what` carries an encoded
-  /// fourbit.status/1 payload (runner/status.hpp codec). Strictly
-  /// off-band — the coordinator merges it for --status-json and the
-  /// ticker; it never influences trial accounting.
+  /// Periodic observability: `what` carries the worker's live view
+  /// (its in-flight trials' registries) as a fourbit.status/1 payload
+  /// (runner/status.hpp codec). Strictly off-band — the coordinator
+  /// shows it in --status-json and the ticker until the next one
+  /// replaces it; it never influences trial accounting.
   kStatus = 6,
 };
 
@@ -149,9 +152,9 @@ void write_flight_snapshot(const std::string& path, std::size_t trial_index,
 
 struct MultiprocessOptions {
   /// Trial-level policy (threads = per-worker threads; journal_path =
-  /// the main journal stem, also where shards live; on_trial_done fires
-  /// on the coordinator as workers report — result pointers are null,
-  /// results only exist after the final shard merge).
+  /// the main journal stem, also where shards live; on_trial_start and
+  /// on_trial_done fire on the coordinator as workers report — result
+  /// pointers are null, results only exist after the final shard merge).
   SupervisorOptions supervisor;
   std::size_t workers = 1;
   /// The self-exec command: the ORIGINAL argv (CampaignCli::exec_argv).
@@ -178,17 +181,14 @@ struct MultiprocessOptions {
   /// retried into a crash loop.
   std::size_t max_trial_crashes = 2;
 
-  /// Live observability. status_path: publish a merged fourbit.status/1
+  /// Live observability. status_path: publish a fourbit.status/1
   /// snapshot there every status_interval_ms (write-temp-then-rename).
-  /// on_status: additionally hand each merged snapshot to this callback
-  /// (the host agent forwards them to its coordinator over FT). Both
-  /// are strictly off-band.
+  /// on_status: additionally hand each snapshot to this callback. Both
+  /// are strictly off-band. Metrics accumulate in supervisor.status
+  /// when set (a host agent's lease board), else in a private board.
   std::string status_path;
   std::uint64_t status_interval_ms = 1000;
   std::function<void(const StatusSnapshot&)> on_status;
-  /// Campaign-wide trial count for snapshot totals (0 = trials.size();
-  /// a host agent running a lease sets the full campaign size).
-  std::size_t status_total = 0;
 };
 
 /// Runs the campaign across worker processes. Blocks until every trial

@@ -5,10 +5,11 @@
 // write-failure latch, and end-to-end localhost campaigns against real
 // host-agent processes that get SIGKILLed mid-trial.
 //
-// This binary self-execs as its own host agents: main() checks for
-// --serve and, when present, rebuilds the trial list from --dt-* flags
-// and enters run_host_agent with a scenario-driven run_trial override
-// instead of running gtest. Scenarios key on the SEED (trial i has seed
+// This binary self-execs as its own host agents and pool workers: main()
+// checks for --serve or the hidden --worker-fd and, when present,
+// rebuilds the trial list from --dt-* flags and enters run_host_agent or
+// run_worker with a scenario-driven run_trial override instead of
+// running gtest. Scenarios key on the SEED (trial i has seed
 // base + i) because agent-side leases run without tracing, so
 // config.trace_trial is not stamped.
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -37,8 +39,10 @@
 #include "runner/supervisor.hpp"
 #include "runner/transport.hpp"
 #include "runner/worker.hpp"
+#include "sim/rng.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/time.hpp"
+#include "topology/topology.hpp"
 
 namespace fourbit::runner {
 namespace {
@@ -63,10 +67,22 @@ ExperimentResult synthetic_result(std::uint64_t seed) {
 }
 
 /// Trial list both ends rebuild independently: seeds base, base+1, ...
+/// A real trial is a small Mirage simulation derived from its seed, so
+/// its telemetry registry carries real counters into status totals.
 std::vector<ExperimentConfig> scenario_trials(std::size_t n,
-                                              std::uint64_t base) {
+                                              std::uint64_t base,
+                                              bool real = false) {
   std::vector<ExperimentConfig> trials(n);
-  for (std::size_t i = 0; i < n; ++i) trials[i].seed = base + i;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t seed = base + i;
+    if (real) {
+      sim::Rng rng{seed};
+      trials[i].testbed = topology::mirage(rng);
+      trials[i].testbed.topology.nodes.resize(12);
+      trials[i].duration = sim::Duration::from_minutes(1.0);
+    }
+    trials[i].seed = seed;
+  }
   return trials;
 }
 
@@ -88,13 +104,18 @@ Scenario parse_scenario(const std::string& text) {
   return s;
 }
 
-/// The agent-side trial executor: misbehaves per the scenario, keyed on
-/// seed - base (the trial index), else returns the synthetic result.
+/// The agent-side trial executor: runs the trial (real or synthetic),
+/// then misbehaves per the scenario, keyed on seed - base (the trial
+/// index). A slow real trial lingers with its registry already pushed,
+/// so a host killed meanwhile dies holding that registry in its live
+/// view.
 std::function<ExperimentResult(const ExperimentConfig&)> scenario_run_trial(
-    Scenario scenario, std::uint64_t base) {
-  return [scenario, base](const ExperimentConfig& config) {
+    Scenario scenario, std::uint64_t base, bool real) {
+  return [scenario, base, real](const ExperimentConfig& config) {
     const std::size_t index =
         static_cast<std::size_t>(config.seed - base);
+    const ExperimentResult result =
+        real ? run_experiment(config) : synthetic_result(config.seed);
     if (scenario.kind == "slow") {
       std::this_thread::sleep_for(std::chrono::milliseconds(scenario.arg));
     } else if (index == scenario.arg) {
@@ -106,7 +127,7 @@ std::function<ExperimentResult(const ExperimentConfig&)> scenario_run_trial(
         throw std::runtime_error("scenario soft failure");
       }
     }
-    return synthetic_result(config.seed);
+    return result;
   };
 }
 
@@ -118,18 +139,22 @@ std::function<ExperimentResult(const ExperimentConfig&)> clean_run_trial() {
 
 }  // namespace
 
-/// Agent-mode entry (called from main when --serve is present): rebuild
-/// the trial list from the --dt-* flags and serve leases forever.
-[[noreturn]] void dt_agent_main(int argc, char** argv, CampaignCli cli) {
+/// Agent- and worker-mode entry (called from main when --serve or the
+/// hidden --worker-fd is present): rebuild the trial list from the
+/// --dt-* flags and serve leases forever, or run the assigned spans.
+[[noreturn]] void dt_child_main(int argc, char** argv, CampaignCli cli) {
   const Scenario scenario = parse_scenario(
       consume_flag(argc, argv, "--dt-scenario").value_or("clean"));
   const std::size_t n = static_cast<std::size_t>(
       consume_uint_flag(argc, argv, "--dt-trials").value_or(0));
   const std::uint64_t base =
       consume_uint_flag(argc, argv, "--dt-seed").value_or(1);
+  const bool real = consume_bool_flag(argc, argv, "--dt-real");
   auto options = cli.supervisor_options();
-  options.run_trial = scenario_run_trial(scenario, base);
-  run_host_agent(scenario_trials(n, base), cli, std::move(options));
+  options.run_trial = scenario_run_trial(scenario, base, real);
+  const auto trials = scenario_trials(n, base, real);
+  if (cli.worker_fd >= 0) run_worker(trials, cli, options);
+  run_host_agent(trials, cli, std::move(options));
 }
 
 namespace {
@@ -178,7 +203,8 @@ CampaignReport reference_report(std::size_t n, std::uint64_t base,
 class SpawnedAgent {
  public:
   SpawnedAgent(const std::string& scenario, std::size_t n,
-               std::uint64_t base) {
+               std::uint64_t base,
+               const std::vector<std::string>& extra_args = {}) {
     int err_pipe[2] = {-1, -1};
     if (::pipe(err_pipe) != 0) return;
     pid_ = ::fork();
@@ -191,6 +217,7 @@ class SpawnedAgent {
           "--dt-scenario",  scenario,     "--dt-trials",
           std::to_string(n), "--dt-seed", std::to_string(base),
           "--threads",      "1"};
+      args.insert(args.end(), extra_args.begin(), extra_args.end());
       std::vector<char*> argv;
       argv.reserve(args.size() + 1);
       for (auto& a : args) argv.push_back(a.data());
@@ -885,13 +912,197 @@ TEST(DispatchTest, CoordinatorSigkillResumeIsBitIdentical) {
   std::filesystem::remove(ref_stem);
 }
 
+// ---- exact status totals across execution modes -----------------------
+
+using MetricKey = std::pair<std::string, std::string>;
+
+std::map<MetricKey, std::uint64_t> counter_table(const StatusSnapshot& snap) {
+  std::map<MetricKey, std::uint64_t> out;
+  for (const auto& c : snap.counters) out[{c.component, c.name}] = c.value;
+  return out;
+}
+
+std::map<MetricKey, double> gauge_table(const StatusSnapshot& snap) {
+  std::map<MetricKey, double> out;
+  for (const auto& g : snap.gauges) out[{g.component, g.name}] = g.value;
+  return out;
+}
+
+std::map<MetricKey, std::uint64_t> hist_counts(const StatusSnapshot& snap) {
+  std::map<MetricKey, std::uint64_t> out;
+  for (const auto& h : snap.histograms) {
+    out[{h.component, h.name}] = h.hist.count;
+  }
+  return out;
+}
+
+/// Adds the counter rows of one per-trial JSONL trace footer into `sum`
+/// (summed over nodes, as status aggregates them).
+void add_footer_counters(const std::string& path,
+                         std::map<MetricKey, std::uint64_t>& sum) {
+  std::ifstream in{path};
+  std::string line;
+  const auto field = [&line](const std::string& key) {
+    const auto at = line.find("\"" + key + "\":");
+    if (at == std::string::npos) return std::string{};
+    const auto begin = at + key.size() + 3;
+    if (line[begin] == '"') {
+      return line.substr(begin + 1, line.find('"', begin + 1) - begin - 1);
+    }
+    return line.substr(begin, line.find_first_of(",}", begin) - begin);
+  };
+  while (std::getline(in, line)) {
+    if (field("type") != "counter") continue;
+    sum[{field("component"), field("name")}] +=
+        std::strtoull(field("value").c_str(), nullptr, 10);
+  }
+}
+
+void expect_sources_add_up(const StatusSnapshot& snap) {
+  std::uint64_t done = 0;
+  std::uint64_t failed = 0;
+  for (const auto& src : snap.sources) {
+    done += src.done;
+    failed += src.failed;
+  }
+  EXPECT_EQ(done, snap.done);
+  EXPECT_EQ(failed, snap.failed);
+}
+
+TEST(ExactStatusTest, FinalTotalsAgreeAcrossThreadsWorkersAndHosts) {
+  // One profiled campaign of real trials under five execution modes.
+  // The final snapshot's counters, histogram counts and gauges must be
+  // identical in all five, and the counters must equal the sum of the
+  // campaign's per-trial JSONL counter footers.
+  const std::uint64_t base = 1000;
+  const std::size_t n = 6;
+  const auto trials = scenario_trials(n, base, /*real=*/true);
+  const std::string trace_base = temp_stem("exact_trace") + ".jsonl";
+  const std::vector<std::string> child_args = {"--dt-real",
+                                               "--profile-phases"};
+  std::vector<std::pair<std::string, StatusSnapshot>> finals;
+
+  for (const std::size_t threads : {1u, 4u}) {
+    StatusBoard board;
+    SupervisorOptions options;
+    options.threads = threads;
+    options.status = &board;
+    options.profile_phases = true;
+    if (threads == 1) options.trace_path_base = trace_base;
+    ASSERT_TRUE(run_supervised(trials, options).all_completed());
+    finals.emplace_back("threads " + std::to_string(threads),
+                        StatusSnapshot{});
+    board.fill_snapshot(finals.back().second);
+  }
+
+  for (const std::size_t workers : {1u, 3u}) {
+    MultiprocessOptions mp;
+    mp.workers = workers;
+    mp.exec_argv = {"/proc/self/exe", "--dt-trials", std::to_string(n),
+                    "--dt-seed", std::to_string(base), "--threads", "1"};
+    mp.exec_argv.insert(mp.exec_argv.end(), child_args.begin(),
+                        child_args.end());
+    mp.heartbeat_interval_ms = 20;
+    mp.status_interval_ms = 20;
+    StatusSnapshot last;
+    mp.on_status = [&](const StatusSnapshot& s) { last = s; };
+    ASSERT_TRUE(run_multiprocess(trials, mp).all_completed());
+    expect_sources_add_up(last);
+    finals.emplace_back("workers " + std::to_string(workers), last);
+  }
+
+  {
+    SpawnedAgent a{"clean", n, base, child_args};
+    SpawnedAgent b{"clean", n, base, child_args};
+    ASSERT_NE(a.port(), 0);
+    ASSERT_NE(b.port(), 0);
+    DispatchOptions options = dt_options({a.port(), b.port()});
+    options.lease_trials = 2;  // both hosts participate
+    std::mutex last_mutex;
+    StatusSnapshot last;
+    options.on_status = [&](const StatusSnapshot& s) {
+      const std::lock_guard<std::mutex> lock{last_mutex};
+      last = s;
+    };
+    const auto report = run_distributed(trials, options);
+    ASSERT_TRUE(report.all_completed());
+    EXPECT_EQ(report.host_losses, 0u);
+    expect_sources_add_up(last);
+    finals.emplace_back("2 hosts", last);
+  }
+
+  std::map<MetricKey, std::uint64_t> footers;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto path = trial_trace_path(trace_base, i, trials[i].seed);
+    add_footer_counters(path, footers);
+    std::filesystem::remove(path);
+  }
+  ASSERT_GT((footers[{"phy", "frames_tx"}]), 0u);
+
+  const auto& reference = finals.front().second;
+  EXPECT_EQ(counter_table(reference), footers);
+  EXPECT_EQ((hist_counts(reference)[{"profile", "trial_setup_ns"}]), n);
+  EXPECT_EQ((hist_counts(reference)[{"runner", "trial_wall_ms"}]), n);
+  for (const auto& [mode, snap] : finals) {
+    EXPECT_EQ(snap.done, n) << mode;
+    EXPECT_EQ(snap.in_flight, 0u) << mode;
+    EXPECT_EQ(counter_table(snap), counter_table(reference)) << mode;
+    EXPECT_EQ(hist_counts(snap), hist_counts(reference)) << mode;
+    EXPECT_EQ(gauge_table(snap), gauge_table(reference)) << mode;
+  }
+}
+
+TEST(ExactStatusTest, HostSigkilledMidLeaseCountsEachTrialOnce) {
+  // The host-SIGKILL scenario on real trials: the victim dies holding
+  // pushed registries in its live view, its lease is re-run on the
+  // survivor, and the final counters still equal a clean run's.
+  const std::uint64_t base = 1100;
+  const std::size_t n = 16;
+  const auto trials = scenario_trials(n, base, /*real=*/true);
+  const std::vector<std::string> child_args = {"--dt-real",
+                                               "--status-interval-ms", "10"};
+  SpawnedAgent a{"slow@25", n, base, child_args};
+  SpawnedAgent b{"slow@25", n, base, child_args};
+  ASSERT_NE(a.port(), 0);
+  ASSERT_NE(b.port(), 0);
+
+  DispatchOptions options = dt_options({a.port(), b.port()});
+  options.lease_trials = 8;  // the victim dies mid-lease
+  StatusSnapshot last;
+  std::mutex last_mutex;
+  options.on_status = [&](const StatusSnapshot& s) {
+    const std::lock_guard<std::mutex> lock{last_mutex};
+    last = s;
+  };
+  std::thread killer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    b.kill_now();
+  });
+  const auto report = run_distributed(trials, options);
+  killer.join();
+  ASSERT_TRUE(report.all_completed());
+  EXPECT_GE(report.host_losses, 1u);
+
+  StatusBoard board;
+  SupervisorOptions clean;
+  clean.threads = 1;
+  clean.status = &board;
+  ASSERT_TRUE(run_supervised(trials, clean).all_completed());
+  StatusSnapshot expected;
+  board.fill_snapshot(expected);
+  ASSERT_NE((counter_table(expected)[{"phy", "frames_tx"}]), 0u);
+  EXPECT_EQ(counter_table(last), counter_table(expected));
+  EXPECT_EQ(gauge_table(last), gauge_table(expected));
+  EXPECT_EQ(last.done, n);
+}
+
 }  // namespace
 }  // namespace fourbit::runner
 
 int main(int argc, char** argv) {
   auto cli = fourbit::runner::consume_campaign_cli(argc, argv);
-  if (cli.serve_port >= 0) {
-    fourbit::runner::dt_agent_main(argc, argv, std::move(cli));
+  if (cli.serve_port >= 0 || cli.worker_fd >= 0) {
+    fourbit::runner::dt_child_main(argc, argv, std::move(cli));
   }
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();

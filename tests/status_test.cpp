@@ -1,7 +1,7 @@
 // Tests of live campaign observability (runner/status.hpp): log2
 // histograms and phase timers, the fourbit.status/1 snapshot codec and
-// its junk rejection, stamp/merge/publish helpers, the StatusBoard
-// delta accumulator, the --status-* CLI surface, and end-to-end status
+// its junk rejection, stamp/publish helpers, the StatusBoard's settled
+// totals and live views, the --status-* CLI surface, and end-to-end status
 // streaming from supervised and multi-process campaigns — including the
 // off-band guarantee that journal and trace bytes are identical with
 // status on or off.
@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -96,21 +97,33 @@ Scenario parse_scenario(const std::string& text) {
   return s;
 }
 
+std::vector<ExperimentConfig> real_trials(std::size_t n,
+                                          std::uint64_t base) {
+  std::vector<ExperimentConfig> trials;
+  for (std::size_t i = 0; i < n; ++i) trials.push_back(real_trial(base + i));
+  return trials;
+}
+
 /// Worker-side trial executor: paces trials so the 20 ms status cadence
 /// in these tests catches the campaign mid-flight, and misbehaves per
-/// the scenario ("segv@N" kills the worker on trial N).
+/// the scenario ("segv@N" kills the worker on trial N). A real trial
+/// runs the simulation first, and a doomed one then lingers so its
+/// registry reaches the coordinator in a live view before the crash.
 std::function<ExperimentResult(const ExperimentConfig&)> scenario_run_trial(
-    Scenario scenario) {
-  return [scenario](const ExperimentConfig& config) {
+    Scenario scenario, bool real) {
+  return [scenario, real](const ExperimentConfig& config) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const ExperimentResult result =
+        real ? run_experiment(config) : synthetic_result(config.seed);
     const std::size_t index =
         config.trace_trial >= 0
             ? static_cast<std::size_t>(config.trace_trial)
             : static_cast<std::size_t>(-1);
     if (scenario.kind == "segv" && index == scenario.index) {
+      if (real) std::this_thread::sleep_for(std::chrono::milliseconds(100));
       ::raise(SIGSEGV);
     }
-    return synthetic_result(config.seed);
+    return result;
   };
 }
 
@@ -124,9 +137,11 @@ std::function<ExperimentResult(const ExperimentConfig&)> scenario_run_trial(
       consume_uint_flag(argc, argv, "--st-trials").value_or(0));
   const std::uint64_t base =
       consume_uint_flag(argc, argv, "--st-seed").value_or(1);
+  const bool real = consume_bool_flag(argc, argv, "--st-real");
   auto options = cli.supervisor_options();
-  options.run_trial = scenario_run_trial(scenario);
-  run_worker(scenario_trials(n, base), cli, std::move(options));
+  options.run_trial = scenario_run_trial(scenario, real);
+  run_worker(real ? real_trials(n, base) : scenario_trials(n, base), cli,
+             std::move(options));
 }
 
 namespace {
@@ -212,6 +227,29 @@ const sim::Histogram* find_hist(const StatusSnapshot& snap,
     if (h.component == component && h.name == name) return &h.hist;
   }
   return nullptr;
+}
+
+// Whole metric tables, for comparing two campaigns' final snapshots.
+using MetricKey = std::pair<std::string, std::string>;
+
+std::map<MetricKey, std::uint64_t> counter_table(const StatusSnapshot& snap) {
+  std::map<MetricKey, std::uint64_t> out;
+  for (const auto& c : snap.counters) out[{c.component, c.name}] = c.value;
+  return out;
+}
+
+std::map<MetricKey, double> gauge_table(const StatusSnapshot& snap) {
+  std::map<MetricKey, double> out;
+  for (const auto& g : snap.gauges) out[{g.component, g.name}] = g.value;
+  return out;
+}
+
+std::map<MetricKey, std::uint64_t> hist_counts(const StatusSnapshot& snap) {
+  std::map<MetricKey, std::uint64_t> out;
+  for (const auto& h : snap.histograms) {
+    out[{h.component, h.name}] = h.hist.count;
+  }
+  return out;
 }
 
 // ---- log2 histograms --------------------------------------------------
@@ -544,43 +582,6 @@ TEST(WriteStatusFileTest, AtomicPublishLeavesNoTemp) {
   std::filesystem::remove(path);
 }
 
-// ---- metric merging ----------------------------------------------------
-
-TEST(MergeStatusMetricsTest, SumsCountersLastWinsGaugesMergesHists) {
-  StatusSnapshot into;
-  into.counters.push_back(StatusCounter{"sim", "eq_resizes", 1});
-  into.gauges.push_back(StatusGauge{"sim", "arena_bytes", 100.0});
-  StatusHistogram ha;
-  ha.component = "runner";
-  ha.name = "trial_wall_ms";
-  ha.hist.record(10);
-  into.histograms.push_back(ha);
-
-  StatusSnapshot part;
-  part.counters.push_back(StatusCounter{"sim", "eq_resizes", 2});
-  part.counters.push_back(StatusCounter{"phy", "frames", 5});
-  part.gauges.push_back(StatusGauge{"sim", "arena_bytes", 50.0});
-  StatusHistogram hb = ha;
-  hb.hist.record(20);
-  part.histograms.push_back(hb);
-  part.done = 999;  // lifecycle fields are the caller's, never merged
-
-  merge_status_metrics(into, part);
-  EXPECT_EQ(into.done, 0u);
-  const auto* resizes = find_counter(into, "sim", "eq_resizes");
-  ASSERT_NE(resizes, nullptr);
-  EXPECT_EQ(resizes->value, 3u);
-  const auto* frames = find_counter(into, "phy", "frames");
-  ASSERT_NE(frames, nullptr);
-  EXPECT_EQ(frames->value, 5u);
-  const auto* arena = find_gauge(into, "sim", "arena_bytes");
-  ASSERT_NE(arena, nullptr);
-  EXPECT_EQ(arena->value, 50.0);
-  const auto* wall = find_hist(into, "runner", "trial_wall_ms");
-  ASSERT_NE(wall, nullptr);
-  EXPECT_EQ(wall->count, 3u);  // 1 from into + 2 from part
-}
-
 // ---- StatusBoard -------------------------------------------------------
 
 TEST(StatusBoardTest, LifecycleCounts) {
@@ -607,7 +608,21 @@ TEST(StatusBoardTest, LifecycleCounts) {
   EXPECT_EQ(wall->sum, 46u);
 }
 
-TEST(StatusBoardTest, RegistryDeltasCountEachIncrementOnce) {
+/// One-counter metrics table, as a worker's kTrialDone record carries.
+StatusSnapshot tx_metrics(std::uint64_t tx) {
+  StatusSnapshot m;
+  m.counters.push_back(StatusCounter{"phy", "tx", tx});
+  return m;
+}
+
+std::uint64_t tx_total(const StatusBoard& board) {
+  StatusSnapshot snap;
+  board.fill_snapshot(snap);
+  const auto* tx = find_counter(snap, "phy", "tx");
+  return tx != nullptr ? tx->value : 0;
+}
+
+TEST(StatusBoardTest, RepeatedLivePushReplacesLiveView) {
   sim::TelemetryContext context;
   auto* tx1 = context.counter("phy", "tx", 1);
   auto* tx2 = context.counter("phy", "tx", 2);  // per-node rows aggregate
@@ -620,83 +635,121 @@ TEST(StatusBoardTest, RegistryDeltasCountEachIncrementOnce) {
 
   StatusBoard board;
   board.trial_started(0);
-  board.publish_registry(0, context);
-  StatusSnapshot snap;
-  board.fill_snapshot(snap);
-  const auto* tx = find_counter(snap, "phy", "tx");
-  ASSERT_NE(tx, nullptr);
-  EXPECT_EQ(tx->value, 7u);
+  board.set_live(0, registry_metrics(context));
+  EXPECT_EQ(tx_total(board), 7u);
 
-  // A second push of the SAME registry must add only the growth.
+  // A second push of the SAME registry replaces the first whole.
   *tx1 = 9;
   *arena = 50.0;
   backoff->record(5);
-  board.publish_registry(0, context);
-  board.fill_snapshot(snap);
-  tx = find_counter(snap, "phy", "tx");
-  ASSERT_NE(tx, nullptr);
-  EXPECT_EQ(tx->value, 11u);  // 7 + delta of 4, not 7 + 11
-  const auto* gauge = find_gauge(snap, "sim", "arena_bytes");
-  ASSERT_NE(gauge, nullptr);
-  EXPECT_EQ(gauge->value, 50.0);  // gauges are last-wins
-  const auto* hist = find_hist(snap, "mac", "backoff");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->count, 2u);  // each record() counted exactly once
-}
-
-TEST(StatusBoardTest, RegistryRestartTakesWholeValue) {
-  StatusBoard board;
-  board.trial_started(0);
-  {
-    sim::TelemetryContext context;
-    *context.counter("phy", "tx") = 9;
-    board.publish_registry(0, context);
-  }
-  // The trial retried: its fresh registry restarts below the last-seen
-  // value, and every increment in it is new.
-  board.attempt_reset(0);
-  {
-    sim::TelemetryContext context;
-    *context.counter("phy", "tx") = 4;
-    board.publish_registry(0, context);
-  }
+  board.set_live(0, registry_metrics(context));
   StatusSnapshot snap;
   board.fill_snapshot(snap);
   const auto* tx = find_counter(snap, "phy", "tx");
   ASSERT_NE(tx, nullptr);
-  EXPECT_EQ(tx->value, 13u);
+  EXPECT_EQ(tx->value, 11u);  // the latest view, not 7 + 11
+  const auto* gauge = find_gauge(snap, "sim", "arena_bytes");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->value, 50.0);
+  const auto* hist = find_hist(snap, "mac", "backoff");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->count, 2u);
 
-  // Even WITHOUT the reset, a value below last-seen means restart.
-  {
-    sim::TelemetryContext context;
-    *context.counter("phy", "tx") = 2;  // seen is 4: must add whole 2
-    board.publish_registry(0, context);
-  }
-  board.fill_snapshot(snap);
-  tx = find_counter(snap, "phy", "tx");
-  ASSERT_NE(tx, nullptr);
-  EXPECT_EQ(tx->value, 15u);
+  // A dropped view (a dead source) leaves nothing behind.
+  board.drop_live(0);
+  EXPECT_EQ(tx_total(board), 0u);
 }
 
-TEST(StatusBoardTest, AbsorbKeepsDeadSourceMetrics) {
+TEST(StatusBoardTest, RetryDropsTheAttemptsLiveView) {
   StatusBoard board;
-  StatusSnapshot part;
-  part.counters.push_back(StatusCounter{"phy", "frames", 5});
-  StatusHistogram h;
-  h.component = "runner";
-  h.name = "trial_wall_ms";
-  h.hist.record(7);
-  part.histograms.push_back(h);
-  board.absorb_metrics(part);
-  board.absorb_metrics(part);  // two dead incarnations
-  StatusSnapshot snap;
-  board.fill_snapshot(snap);
-  const auto* frames = find_counter(snap, "phy", "frames");
-  ASSERT_NE(frames, nullptr);
-  EXPECT_EQ(frames->value, 10u);
-  const auto* wall = find_hist(snap, "runner", "trial_wall_ms");
-  ASSERT_NE(wall, nullptr);
-  EXPECT_EQ(wall->count, 2u);
+  board.trial_started(0);
+  board.set_live(0, tx_metrics(9));
+  board.attempt_reset(0);  // the attempt failed; its work must not count
+  EXPECT_EQ(tx_total(board), 0u);
+  board.set_live(0, tx_metrics(4));
+  board.trial_settled(0, /*failed=*/false, 1);
+  EXPECT_EQ(tx_total(board), 4u);
+
+  // A terminal failure drops the live view the same way.
+  board.trial_started(1);
+  board.set_live(1, tx_metrics(5));
+  board.trial_settled(1, /*failed=*/true, 1);
+  EXPECT_EQ(tx_total(board), 4u);
+  EXPECT_TRUE(board.trial_metrics(1).counters.empty());
+}
+
+TEST(StatusBoardTest, SettleMovesFinalRegistryIntoTotals) {
+  StatusBoard board;
+  board.trial_started(0);
+  board.trial_started(1);
+  board.set_live(0, tx_metrics(3));
+  board.set_live(1, tx_metrics(5));
+  EXPECT_EQ(tx_total(board), 8u);  // totals + live views
+
+  board.trial_settled(0, /*failed=*/false, 1);
+  EXPECT_EQ(tx_total(board), 8u);  // moved, not copied
+  ASSERT_EQ(board.trial_metrics(0).counters.size(), 1u);
+  EXPECT_EQ(board.trial_metrics(0).counters[0].value, 3u);
+  const auto live = board.live_view();
+  ASSERT_EQ(live.counters.size(), 1u);
+  EXPECT_EQ(live.counters[0].value, 5u);  // only trial 1 is still live
+
+  board.trial_settled(1, /*failed=*/false, 1);
+  EXPECT_TRUE(board.live_view().counters.empty());
+  EXPECT_EQ(tx_total(board), 8u);
+}
+
+TEST(StatusBoardTest, DuplicateSettleOfOneIndexIsLastWins) {
+  StatusBoard board;
+  board.settle_metrics(2, tx_metrics(5));
+  board.settle_metrics(2, tx_metrics(5));  // a double completion
+  EXPECT_EQ(tx_total(board), 5u);
+  board.settle_metrics(2, tx_metrics(7));
+  EXPECT_EQ(tx_total(board), 7u);
+  board.settle_metrics(3, tx_metrics(1));
+  EXPECT_EQ(tx_total(board), 8u);
+}
+
+TEST(StatusBoardTest, TotalsSumCountersMaxGaugesMergeHistograms) {
+  StatusSnapshot a;
+  a.counters.push_back(StatusCounter{"sim", "eq_resizes", 1});
+  a.gauges.push_back(StatusGauge{"sim", "arena_bytes", 100.0});
+  StatusHistogram ha;
+  ha.component = "profile";
+  ha.name = "trial_setup_ns";
+  ha.hist.record(10);
+  a.histograms.push_back(ha);
+
+  StatusSnapshot b;
+  b.counters.push_back(StatusCounter{"sim", "eq_resizes", 2});
+  b.counters.push_back(StatusCounter{"phy", "frames", 5});
+  b.gauges.push_back(StatusGauge{"sim", "arena_bytes", 50.0});
+  StatusHistogram hb = ha;
+  hb.hist.record(20);
+  b.histograms.push_back(hb);
+  b.done = 999;  // lifecycle fields of a metrics table are ignored
+
+  // Settle order must not matter, gauges included.
+  for (const bool a_first : {true, false}) {
+    StatusBoard board;
+    board.settle_metrics(a_first ? 0 : 1, a);
+    board.settle_metrics(a_first ? 1 : 0, b);
+    StatusSnapshot snap;
+    board.fill_snapshot(snap);
+    EXPECT_EQ(snap.done, 0u);
+    const auto* resizes = find_counter(snap, "sim", "eq_resizes");
+    ASSERT_NE(resizes, nullptr);
+    EXPECT_EQ(resizes->value, 3u);
+    const auto* frames = find_counter(snap, "phy", "frames");
+    ASSERT_NE(frames, nullptr);
+    EXPECT_EQ(frames->value, 5u);
+    const auto* arena = find_gauge(snap, "sim", "arena_bytes");
+    ASSERT_NE(arena, nullptr);
+    EXPECT_EQ(arena->value, 100.0);  // max over settled trials
+    const auto* setup = find_hist(snap, "profile", "trial_setup_ns");
+    ASSERT_NE(setup, nullptr);
+    EXPECT_EQ(setup->count, 3u);  // 1 from a + 2 from b
+  }
 }
 
 // ---- StatusPublisher ---------------------------------------------------
@@ -869,6 +922,47 @@ TEST(SupervisedStatusTest, RealTrialMetricsFlowAndBytesStayIdentical) {
   EXPECT_EQ(wall->count, 2u);
 }
 
+TEST(SupervisedStatusTest, TotalsAreExactAtAnyThreadCount) {
+  // Every trial's final registry counts exactly once, whichever thread
+  // ran it and in whatever order the trials settled.
+  const auto trials = real_trials(4, 920);
+  std::vector<StatusSnapshot> finals;
+  for (const std::size_t threads : {1u, 4u}) {
+    StatusBoard board;
+    SupervisorOptions options;
+    options.threads = threads;
+    options.status = &board;
+    options.profile_phases = true;
+    ASSERT_TRUE(run_supervised(trials, options).all_completed());
+    finals.emplace_back();
+    board.fill_snapshot(finals.back());
+  }
+
+  // The reference: each trial run on its own, its last registry push
+  // settled under its index.
+  StatusBoard reference;
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    ExperimentConfig config = trials[i];
+    config.profile_phases = true;
+    config.status = [&reference, i](const sim::TelemetryContext& t) {
+      reference.settle_metrics(i, registry_metrics(t));
+    };
+    (void)run_experiment(config);
+  }
+  StatusSnapshot expected;
+  reference.fill_snapshot(expected);
+  ASSERT_NE(find_counter(expected, "phy", "frames_tx"), nullptr);
+
+  for (const auto& snap : finals) {
+    EXPECT_EQ(counter_table(snap), counter_table(expected));
+    EXPECT_EQ(gauge_table(snap), gauge_table(expected));
+    const auto* setup = find_hist(snap, "profile", "trial_setup_ns");
+    ASSERT_NE(setup, nullptr);
+    EXPECT_EQ(setup->count, trials.size());
+  }
+  EXPECT_EQ(hist_counts(finals[0]), hist_counts(finals[1]));
+}
+
 TEST(LocalCampaignStatusTest, WritesFinalSettledStatusFile) {
   const std::string status_path = temp_path("local.json");
   CampaignCli cli;
@@ -1014,6 +1108,48 @@ TEST(MultiprocessStatusTest, WorkerDeathSurfacesLossesAndFailures) {
   EXPECT_TRUE(well_formed_json(text)) << text;
   EXPECT_NE(text.find("\"failed\":1"), std::string::npos);
   std::filesystem::remove(status_path);
+}
+
+TEST(MultiprocessStatusTest, WorkerDeathCountsOnlySettledTrials) {
+  // The SIGSEGV fixture above on real trials: trial 2 runs to its end,
+  // lingers until its registry has reached the coordinator in a live
+  // view, then kills its worker — twice, so it is quarantined. Neither
+  // crashed attempt may count: the final metrics equal a clean
+  // in-process run of the five trials that settled.
+  const std::size_t n = 6;
+  const std::uint64_t base = 1400;
+  auto mp = st_mp_options("segv@2", n, base, 2);
+  mp.exec_argv.push_back("--st-real");
+  StatusSnapshot last;
+  mp.on_status = [&](const StatusSnapshot& s) { last = s; };
+  const auto report = run_multiprocess(real_trials(n, base), mp);
+  ASSERT_EQ(report.failures.size(), 1u);
+  EXPECT_EQ(report.failures[0].trial_index, 2u);
+  EXPECT_GE(report.hard_crashes, 2u);
+
+  StatusBoard board;
+  SupervisorOptions options;
+  options.threads = 1;
+  options.status = &board;
+  options.subset = {0, 1, 3, 4, 5};
+  ASSERT_TRUE(run_supervised(real_trials(n, base), options).all_completed());
+  StatusSnapshot clean;
+  board.fill_snapshot(clean);
+  ASSERT_NE(find_counter(clean, "phy", "frames_tx"), nullptr);
+  EXPECT_EQ(counter_table(last), counter_table(clean));
+  EXPECT_EQ(gauge_table(last), gauge_table(clean));
+  EXPECT_EQ(hist_counts(last), hist_counts(clean));
+
+  EXPECT_EQ(last.done, 5u);
+  EXPECT_EQ(last.failed, 1u);
+  std::uint64_t done = 0;
+  std::uint64_t failed = 0;
+  for (const auto& src : last.sources) {
+    done += src.done;
+    failed += src.failed;
+  }
+  EXPECT_EQ(done, last.done);
+  EXPECT_EQ(failed, last.failed);
 }
 
 }  // namespace
