@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/crc16.hpp"
 #include "core/four_bit_estimator.hpp"
 #include "mac/frame.hpp"
 #include "net/packets.hpp"
@@ -148,6 +149,41 @@ void BM_MacFrameRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MacFrameRoundTrip);
+
+// The frame check the channel runs once per transmission, on a frame of
+// the size of a data frame with a 22-byte payload.
+void BM_Crc16(benchmark::State& state) {
+  std::vector<std::uint8_t> frame(30);
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    frame[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::DoNotOptimize(crc16(frame));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_Crc16);
+
+// What each receiver pays on the MAC receive path: an in-place header
+// parse with no CRC.
+void BM_MacFrameViewParse(benchmark::State& state) {
+  mac::MacFrame f;
+  f.type = mac::FrameType::kData;
+  f.dsn = 42;
+  f.src = NodeId{7};
+  f.dst = NodeId{9};
+  f.payload.assign(30, 0xAB);
+  const auto bytes = f.encode();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::DoNotOptimize(mac::MacFrameView::parse(bytes));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MacFrameViewParse);
 
 void BM_DataHeaderRoundTrip(benchmark::State& state) {
   net::DataHeader h;

@@ -125,15 +125,16 @@ void CsmaMac::complete_current(TxResult result) {
 
 void CsmaMac::on_radio_rx(std::span<const std::uint8_t> bytes,
                           const phy::RxInfo& info) {
-  // Frames the radio flagged as damaged, or whose FCS fails, die here.
-  if (!info.fcs_ok) {
+  // Frames the radio flagged as damaged, or whose FCS failed the
+  // channel's once-per-transmission check, die here.
+  if (!info.fcs_ok || !info.fcs_verified) {
     ++fcs_failures_;
     return;
   }
-  // Zero-copy parse: header fields by value, payload left in place in
-  // the channel's buffer. Handlers receive a span valid only for this
-  // call; anything they keep, they copy.
-  const auto frame = MacFrameView::decode(bytes);
+  // Zero-copy parse, no CRC: header fields by value, payload left in
+  // place in the channel's buffer. Handlers receive a span valid only for
+  // this call; anything they keep, they copy.
+  const auto frame = MacFrameView::parse(bytes);
   if (!frame) {
     ++fcs_failures_;
     return;

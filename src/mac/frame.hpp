@@ -49,9 +49,10 @@ struct MacFrame {
 
 /// Zero-copy decode of a received frame: header fields by value, payload
 /// as a span into the caller's buffer. This is the receive-path type —
-/// the channel delivers a span of the in-flight frame, the MAC validates
-/// the FCS and parses headers in place, and upper layers see the payload
-/// span without a single copy. The span is only valid for the duration
+/// the channel checks the FCS once per transmission and delivers a span
+/// of the in-flight frame with that verdict, the MAC drops on the verdict
+/// and parses headers in place, and upper layers see the payload span
+/// without a single copy. The span is only valid for the duration
 /// of the delivery call; a consumer that keeps the bytes (e.g. the
 /// forwarding queue) must copy them (see DESIGN.md, "Channel fast
 /// path").
@@ -64,8 +65,14 @@ struct MacFrameView {
 
   [[nodiscard]] bool is_broadcast() const { return dst == kBroadcastId; }
 
-  /// Validates the FCS and parses in place. Returns nullopt for
-  /// truncated, corrupt or unknown frames.
+  /// Parses the headers of a whole frame (FCS included) in place,
+  /// without checking the FCS: the caller already has the verdict.
+  /// Returns nullopt for truncated or unknown frames.
+  [[nodiscard]] static std::optional<MacFrameView> parse(
+      std::span<const std::uint8_t> bytes);
+
+  /// fcs_valid() plus parse(). Returns nullopt for truncated, corrupt or
+  /// unknown frames.
   [[nodiscard]] static std::optional<MacFrameView> decode(
       std::span<const std::uint8_t> bytes);
 

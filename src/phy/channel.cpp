@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/crc16.hpp"
 #include "phy/lqi.hpp"
 
 namespace fourbit::phy {
@@ -610,6 +611,10 @@ void Channel::start_transmission(Radio& sender,
   tx->start = now;
   tx->end = end;
   tx->frame.assign(frame.begin(), frame.end());
+  // The frame check runs here, once per transmission, like the CC2420's
+  // hardware CRC: every clean delivery hands out these same bytes, so
+  // every receiver's verdict would be this one.
+  tx->fcs_verified = fcs_valid(tx->frame);
 
   // Enumerate candidate receivers and seed their interference with the
   // transmissions already in the air. Both cached paths visit the
@@ -776,8 +781,8 @@ void Channel::deliver_corrupt(Radio& r, const ActiveTx& tx,
   if (!phy_.deliver_corrupt_frames) return;
   if (sinr_db < phy_.corrupt_delivery_min_sinr_db) return;
   // The radio locked onto the preamble but the payload is damaged: flip
-  // a few bytes and deliver with fcs_ok = false. The MAC's FCS check
-  // drops it; only the "heard garbage" fact is observable. This is the
+  // a few bytes and deliver with fcs_ok = false and no CRC verdict. The
+  // MAC drops it; only the "heard garbage" fact is observable. This is the
   // one path that needs a mutable copy of the frame bytes (it must
   // mangle them); the copy goes into a reused member buffer, safe
   // because deliveries never nest (finish events are never synchronous).
@@ -950,6 +955,7 @@ void Channel::finish_transmission(ActiveTx* tx) {
       info.lqi = LqiModel::sample(snr_thermal, lqi_rng_);
       info.white = white_bit(info);
       info.fcs_ok = true;
+      info.fcs_verified = tx->fcs_verified;
       r.deliver(tx->frame, info);
     }
 
@@ -1045,6 +1051,7 @@ void Channel::finish_transmission(ActiveTx* tx) {
     info.lqi = LqiModel::sample(snr_thermal, lqi_rng_);
     info.white = white_bit(info);
     info.fcs_ok = true;
+    info.fcs_verified = tx->fcs_verified;
     r.deliver(tx->frame, info);
   }
 

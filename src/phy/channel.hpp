@@ -198,6 +198,7 @@ class Channel {
     Radio* sender = nullptr;  // nullptr = tombstone (sender detached)
     std::uint32_t sender_index = 0;
     bool cached = false;  // sender had a cache slot when this tx started
+    bool fcs_verified = false;  // fcs_valid(frame), checked once at start
     sim::Time start;
     sim::Time end;
     ArenaBytes frame;

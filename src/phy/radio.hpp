@@ -27,9 +27,17 @@ struct RxInfo {
   int lqi = 0;
   bool white = false;
 
-  /// False for frames the radio heard but could not decode cleanly; the
-  /// MAC verifies the frame check sequence and drops them.
+  /// False for frames the radio heard but could not decode cleanly (the
+  /// channel mangled their bytes); the MAC drops them.
   bool fcs_ok = true;
+
+  /// The radio's "CRC OK" status bit, as the CC2420 hands it to the MAC:
+  /// the frame's trailing FCS matches the CRC-16 of its body. The channel
+  /// checks it once per transmission and copies the verdict into every
+  /// clean delivery of that frame, so the MAC drops on it and parses the
+  /// headers in place without re-running the CRC per receiver. Defaults
+  /// to "not verified": bytes handed over without a verdict are dropped.
+  bool fcs_verified = false;
 };
 
 /// Half-duplex radio. Owns no protocol state; the MAC drives it.

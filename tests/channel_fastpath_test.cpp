@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/crc16.hpp"
 #include "phy/channel.hpp"
 #include "phy/hardware.hpp"
 #include "phy/interference.hpp"
@@ -31,6 +32,7 @@ namespace {
 /// receiver — changes the digest.
 struct DeliveryDigest {
   std::uint64_t h = 1469598103934665603ULL;
+  std::uint64_t verified = 0;  // deliveries whose FCS verdict was "ok"
 
   void mix_bytes(const void* p, std::size_t len) {
     const auto* b = static_cast<const unsigned char*>(p);
@@ -54,6 +56,8 @@ struct DeliveryDigest {
     mix(static_cast<std::uint64_t>(info.lqi));
     mix(static_cast<std::uint64_t>(info.white ? 1 : 0));
     mix(static_cast<std::uint64_t>(info.fcs_ok ? 1 : 0));
+    mix(static_cast<std::uint64_t>(info.fcs_verified ? 1 : 0));
+    if (info.fcs_verified) ++verified;
   }
 };
 
@@ -113,6 +117,13 @@ struct Pump {
             std::vector<std::uint8_t> frame(40);
             frame[0] = static_cast<std::uint8_t>(r->id().value());
             frame[1] = static_cast<std::uint8_t>(round);
+            // Even rounds end in a valid FCS, odd rounds do not, so the
+            // channel's per-transmission verdict takes both values.
+            if (round % 2 == 0) {
+              const std::uint16_t fcs = crc16(std::span{frame}.first(38));
+              frame[38] = static_cast<std::uint8_t>(fcs >> 8);
+              frame[39] = static_cast<std::uint8_t>(fcs & 0xFF);
+            }
             r->transmit(std::move(frame), nullptr);
           }
         });
@@ -130,6 +141,9 @@ TEST(ChannelFastPathTest, DeliveryStreamBitIdenticalToSlowPath) {
   EXPECT_TRUE(fast.channel.link_cache_frozen());
   EXPECT_FALSE(slow.channel.link_cache_frozen());
   EXPECT_GT(fast.deliveries, 0u);
+  // Both FCS verdicts reach the digest.
+  EXPECT_GT(fast.digest.verified, 0u);
+  EXPECT_LT(fast.digest.verified, fast.deliveries);
   EXPECT_EQ(fast.deliveries, slow.deliveries);
   EXPECT_EQ(fast.digest.h, slow.digest.h);
   EXPECT_EQ(fast.channel.frames_transmitted(),

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/crc16.hpp"
 #include "phy/channel.hpp"
 #include "phy/hardware.hpp"
 #include "phy/interference.hpp"
@@ -43,6 +44,7 @@ phy::PhyConfig make_phy(Mode mode, bool batch = true) {
 /// digest.
 struct DeliveryDigest {
   std::uint64_t h = 1469598103934665603ULL;
+  std::uint64_t verified = 0;  // deliveries whose FCS verdict was "ok"
 
   void mix_bytes(const void* p, std::size_t len) {
     const auto* b = static_cast<const unsigned char*>(p);
@@ -66,6 +68,8 @@ struct DeliveryDigest {
     mix(static_cast<std::uint64_t>(info.lqi));
     mix(static_cast<std::uint64_t>(info.white ? 1 : 0));
     mix(static_cast<std::uint64_t>(info.fcs_ok ? 1 : 0));
+    mix(static_cast<std::uint64_t>(info.fcs_verified ? 1 : 0));
+    if (info.fcs_verified) ++verified;
   }
 };
 
@@ -126,6 +130,13 @@ struct Pump {
             std::vector<std::uint8_t> frame(40);
             frame[0] = static_cast<std::uint8_t>(r->id().value());
             frame[1] = static_cast<std::uint8_t>(round);
+            // Even rounds end in a valid FCS, odd rounds do not, so the
+            // channel's per-transmission verdict takes both values.
+            if (round % 2 == 0) {
+              const std::uint16_t fcs = crc16(std::span{frame}.first(38));
+              frame[38] = static_cast<std::uint8_t>(fcs >> 8);
+              frame[39] = static_cast<std::uint8_t>(fcs & 0xFF);
+            }
             r->transmit(std::move(frame), nullptr);
           }
         });
@@ -148,6 +159,9 @@ TEST(ChannelSparseTest, DeliveryStreamBitIdenticalAcrossAllThreePaths) {
   EXPECT_GT(sparse.channel.spatial_radius_m(), 0.0);
   EXPECT_EQ(dense.channel.spatial_radius_m(), 0.0);
   EXPECT_GT(sparse.deliveries, 0u);
+  // Both FCS verdicts reach the digest.
+  EXPECT_GT(sparse.digest.verified, 0u);
+  EXPECT_LT(sparse.digest.verified, sparse.deliveries);
   EXPECT_EQ(sparse.deliveries, dense.deliveries);
   EXPECT_EQ(sparse.deliveries, slow.deliveries);
   EXPECT_EQ(sparse.digest.h, dense.digest.h);

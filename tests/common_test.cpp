@@ -10,6 +10,7 @@
 #include "common/ids.hpp"
 #include "common/ring_window.hpp"
 #include "common/units.hpp"
+#include "sim/rng.hpp"
 
 namespace fourbit {
 namespace {
@@ -148,6 +149,59 @@ TEST(Crc16Test, SingleBitFlipChangesCrc) {
           << "flip at byte " << byte << " bit " << bit;
     }
   }
+}
+
+/// The bit-serial CRC-16/XMODEM definition the table-driven crc16 must
+/// reproduce exactly.
+std::uint16_t crc16_bitwise(std::span<const std::uint8_t> data) {
+  std::uint16_t crc = 0x0000;
+  for (const std::uint8_t byte : data) {
+    crc ^= static_cast<std::uint16_t>(byte) << 8;
+    for (int bit = 0; bit < 8; ++bit) {
+      if (crc & 0x8000) {
+        crc = static_cast<std::uint16_t>((crc << 1) ^ 0x1021);
+      } else {
+        crc = static_cast<std::uint16_t>(crc << 1);
+      }
+    }
+  }
+  return crc;
+}
+
+TEST(Crc16Test, TableMatchesBitSerialOnEverySingleByte) {
+  for (unsigned b = 0; b < 256; ++b) {
+    const std::uint8_t byte[] = {static_cast<std::uint8_t>(b)};
+    EXPECT_EQ(crc16(byte), crc16_bitwise(byte)) << "byte " << b;
+  }
+}
+
+TEST(Crc16Test, TableMatchesBitSerialOnRandomBuffers) {
+  sim::Rng rng{2007};
+  std::vector<std::uint8_t> data;
+  for (std::size_t len = 0; len <= 300; ++len) {
+    data.resize(len);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+    EXPECT_EQ(crc16(data), crc16_bitwise(data)) << "length " << len;
+  }
+}
+
+TEST(Crc16Test, FcsValidChecksTrailingBigEndianCrc) {
+  std::vector<std::uint8_t> frame{1, 2, 3, 4, 5};
+  const std::uint16_t fcs = crc16(frame);
+  frame.push_back(static_cast<std::uint8_t>(fcs >> 8));
+  frame.push_back(static_cast<std::uint8_t>(fcs & 0xFF));
+  EXPECT_TRUE(fcs_valid(frame));
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    auto copy = frame;
+    copy[i] ^= 0x01;
+    EXPECT_FALSE(fcs_valid(copy)) << "flip at byte " << i;
+  }
+  // Too short to hold an FCS; two zero bytes are the FCS of nothing.
+  EXPECT_FALSE(fcs_valid(std::span<const std::uint8_t>{}));
+  const std::uint8_t one[] = {0x00};
+  EXPECT_FALSE(fcs_valid(one));
+  const std::uint8_t empty_body[] = {0x00, 0x00};
+  EXPECT_TRUE(fcs_valid(empty_body));
 }
 
 TEST(Crc16Test, IsCompileTime) {

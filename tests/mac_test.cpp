@@ -103,6 +103,31 @@ TEST(MacFrameViewTest, BadFcsRejected) {
   EXPECT_FALSE(MacFrame::decode(bytes).has_value());
 }
 
+TEST(MacFrameViewTest, ParseSkipsFcsCheck) {
+  // parse() is decode() minus the FCS check: the receive path calls it
+  // after the channel's verdict, so it must not re-run the CRC.
+  MacFrame f;
+  f.type = FrameType::kData;
+  f.dsn = 7;
+  f.src = NodeId{1};
+  f.dst = NodeId{2};
+  f.payload = {5, 6, 7};
+  auto bytes = f.encode();
+  bytes.back() ^= 0xFF;  // FCS no longer matches; headers intact
+  EXPECT_FALSE(MacFrameView::decode(bytes).has_value());
+  const auto view = MacFrameView::parse(bytes);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->dsn, 7);
+  EXPECT_EQ(view->src, NodeId{1});
+  EXPECT_EQ(view->dst, NodeId{2});
+  EXPECT_EQ(view->to_owned().payload, f.payload);
+  // Truncated and unknown frames still fail to parse.
+  EXPECT_FALSE(
+      MacFrameView::parse(std::vector<std::uint8_t>{0, 1, 2}).has_value());
+  EXPECT_FALSE(MacFrameView::parse(std::vector<std::uint8_t>{0x7F, 0, 0, 1})
+                   .has_value());
+}
+
 // ---- CsmaMac ----------------------------------------------------------------
 
 class MacFixture : public ::testing::Test {
@@ -205,6 +230,67 @@ TEST_F(MacFixture, UnicastNotForUsIsFiltered) {
   a.mac->send(NodeId{2}, std::vector<std::uint8_t>(4, 1), nullptr);
   sim_.run();
   EXPECT_EQ(c_got, 0);
+}
+
+TEST_F(MacFixture, CleanReceptionWithBadFcsIsDroppedOnChannelVerdict) {
+  // The PHY decodes this frame cleanly (fcs_ok), but its FCS does not
+  // check. The MAC no longer runs the CRC itself, so the channel's
+  // once-per-transmission verdict is all that keeps it from parsing the
+  // headers and delivering, snooping or acking the frame.
+  Node b = make_node(2, 5.0);   // the addressee
+  Node c = make_node(3, -5.0);  // overhears: the snoop path
+  phy::Radio sender(*channel_, NodeId{1}, Position{0.0, 0.0},
+                    phy::HardwareProfile{}, PowerDbm{0.0});
+  phy::Radio observer(*channel_, NodeId{4}, Position{0.0, 5.0},
+                      phy::HardwareProfile{}, PowerDbm{0.0});
+  int clean = 0;
+  int verified = 0;
+  observer.set_rx_handler(
+      [&](std::span<const std::uint8_t>, const phy::RxInfo& info) {
+        clean += info.fcs_ok ? 1 : 0;
+        verified += info.fcs_verified ? 1 : 0;
+      });
+  int upcalls = 0;
+  const auto count = [&](NodeId, std::uint8_t, std::span<const std::uint8_t>,
+                         const phy::RxInfo&) { ++upcalls; };
+  int receiver_tx = 0;
+  const auto count_tx = [&](const MacFrame&) { ++receiver_tx; };
+  for (Node* n : {&b, &c}) {
+    n->mac->set_rx_handler(count);
+    n->mac->set_snoop_handler(count);
+    n->mac->set_tx_listener(count_tx);
+  }
+
+  MacFrame f;
+  f.type = FrameType::kData;
+  f.dsn = 9;
+  f.src = NodeId{1};
+  f.dst = NodeId{2};
+  f.payload = {1, 2, 3, 4, 5, 6, 7, 8};
+  const std::vector<std::uint8_t> good = f.encode();
+  std::vector<std::uint8_t> bad = good;
+  bad.back() ^= 0xFF;  // one FCS byte; the headers still parse
+
+  sender.transmit(bad, nullptr);
+  sim_.run();
+  EXPECT_EQ(clean, 1);
+  EXPECT_EQ(verified, 0);
+  EXPECT_EQ(b.mac->fcs_failures(), 1u);
+  EXPECT_EQ(c.mac->fcs_failures(), 1u);
+  EXPECT_EQ(upcalls, 0);
+  EXPECT_EQ(receiver_tx, 0);  // no ack
+  EXPECT_EQ(channel_->frames_transmitted(), 1u);
+
+  // Control: the intact frame over the same links is delivered to b,
+  // snooped by c and acked. The observer hears the frame and the ack.
+  sender.transmit(good, nullptr);
+  sim_.run();
+  EXPECT_EQ(clean, 3);
+  EXPECT_EQ(verified, 2);
+  EXPECT_EQ(b.mac->fcs_failures(), 1u);
+  EXPECT_EQ(c.mac->fcs_failures(), 1u);
+  EXPECT_EQ(upcalls, 2);
+  EXPECT_EQ(receiver_tx, 1);
 }
 
 TEST_F(MacFixture, QueueServicesInFifoOrder) {
