@@ -1,13 +1,18 @@
 #include "runner/dispatch.hpp"
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -16,6 +21,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -30,11 +36,17 @@ using Clock = std::chrono::steady_clock;
 
 // ---- coordinator ------------------------------------------------------
 
-struct HostSlot {
-  std::size_t index = 0;  // position on the --hosts list
-  HostEndpoint addr;
+/// One peer of the coordinator loop: a host agent on the --hosts list,
+/// or a local worker process on a socketpair. Both speak the same
+/// session protocol; only how a peer starts and how its death is read
+/// differ.
+struct Peer {
+  std::size_t index = 0;  // position on the --hosts list, or worker slot
+  bool local = false;     // a forked worker, not a TCP host agent
+  HostEndpoint addr;      // host agents only
+  pid_t pid = -1;         // local workers only
   int fd = -1;
-  bool hello = false;  // host identified itself as a fourbit agent
+  bool hello = false;  // peer identified itself as a fourbit agent
   TransportParser parser;
 
   std::uint32_t lease_id = 0;        // outstanding lease (0 = none)
@@ -44,28 +56,124 @@ struct HostSlot {
 
   Clock::time_point last_heard{};
   std::uint32_t last_retried_total = 0;
-  bool progress_this_session = false;
+  /// Progress this session: a settled trial, or for a local worker any
+  /// trial start (a worker that dies mid-trial blames the trial).
+  bool progress = false;
   /// Consecutive fruitless outcomes: failed connects and sessions that
-  /// died without a single trial-progress record.
+  /// ended without progress. max_host_failures of them retire the peer.
   std::size_t fruitless = 0;
-  Clock::time_point reconnect_at{};
+  Clock::time_point restart_at{};
+  bool spawned = false;  // a worker process has been started before
   bool retired = false;
-  /// Session deaths charged to this host (its share of host_losses).
+  /// Host sessions lost, or worker respawns.
   std::size_t losses = 0;
-  /// Per-host health ledger across the whole campaign: results this
-  /// host delivered, and terminal soft failures it reported.
+  /// Per-peer health ledger across the whole campaign.
   std::uint64_t done_here = 0;
   std::uint64_t failed_here = 0;
 
   [[nodiscard]] std::string name() const {
-    return addr.host + ":" + std::to_string(addr.port);
+    std::string out = local ? "w" : addr.host + ":";
+    out += std::to_string(local ? index : addr.port);
+    return out;
   }
 };
 
-}  // namespace
+/// Why a peer's session ended.
+enum class Death {
+  kEof,          // the socket closed (a worker process exited)
+  kCorrupt,      // torn/corrupt frame or protocol violation
+  kHeartbeat,    // silent past heartbeat_timeout_ms
+  kTrialTimeout, // a trial outlived trial_timeout_ms
+  kSendFailed,   // the lease grant could not be written
+  kIdleLease,    // a lease completed without settling any trial
+};
 
-CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
-                               const DispatchOptions& options) {
+std::string death_reason(Death death) {
+  switch (death) {
+    case Death::kEof: return "disconnected";
+    case Death::kCorrupt: return "corrupt stream";
+    case Death::kHeartbeat: return "heartbeat silence";
+    case Death::kTrialTimeout: return "trial-timeout";
+    case Death::kSendFailed: return "send failed";
+    case Death::kIdleLease: return "lease completed without settling any trial";
+  }
+  return "unknown";
+}
+
+/// The hard-crash message for a dead local worker, from its wait status.
+std::string worker_death_what(const Peer& p, Death death, int sig, int code,
+                              std::uint64_t heartbeat_timeout_ms) {
+  std::string what = "worker " + std::to_string(p.index);
+  if (death == Death::kCorrupt) {
+    what += " sent a torn or corrupt pipe frame";
+    if (sig != 0) {
+      what += " and was killed (signal " + std::to_string(sig) + ")";
+    }
+  } else if (death == Death::kHeartbeat) {
+    what += " stopped heartbeating for over " +
+            std::to_string(heartbeat_timeout_ms) + " ms and was killed";
+  } else if (death == Death::kTrialTimeout) {
+    what += " was killed after a trial overran the coordinator watchdog";
+  } else if (sig != 0) {
+    what += " was killed by signal " + std::to_string(sig);
+  } else if (code >= 0) {
+    what += " exited with status " + std::to_string(code) +
+            " before finishing its range";
+  } else {
+    what += " died unexpectedly";
+  }
+  return what;
+}
+
+/// Forks and execs one local worker: the original argv plus the hidden
+/// worker flags, with its end of a socketpair as --worker-fd. Returns
+/// the coordinator's end (nonblocking, close-on-exec, so no other
+/// worker inherits it and a coordinator death reaches every worker).
+int spawn_worker(const MultiprocessOptions& pool, const std::string& flight,
+                 pid_t& pid) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    throw std::runtime_error("run_multiprocess: socketpair() failed");
+  }
+  std::vector<std::string> args = pool.exec_argv;
+  args.insert(args.end(),
+              {"--worker-fd", std::to_string(fds[1]), "--worker-flight",
+               flight, "--worker-heartbeat-ms",
+               std::to_string(pool.heartbeat_interval_ms)});
+  std::vector<char*> argp;
+  argp.reserve(args.size() + 1);
+  for (auto& arg : args) argp.push_back(arg.data());
+  argp.push_back(nullptr);
+
+  pid = ::fork();
+  if (pid < 0) {
+    ::close(fds[0]);
+    ::close(fds[1]);
+    throw std::runtime_error("run_multiprocess: fork() failed");
+  }
+  if (pid == 0) {
+    ::fcntl(fds[1], F_SETFD, 0);  // the worker's end survives exec
+    // The bench preamble and result tables belong to the coordinator's
+    // run alone; a worker's stdout is noise.
+    const int devnull = ::open("/dev/null", O_WRONLY);
+    if (devnull >= 0) {
+      ::dup2(devnull, STDOUT_FILENO);
+      ::close(devnull);
+    }
+    ::execvp(argp[0], argp.data());
+    ::_exit(127);
+  }
+  ::close(fds[1]);
+  ::fcntl(fds[0], F_SETFL, ::fcntl(fds[0], F_GETFL, 0) | O_NONBLOCK);
+  return fds[0];
+}
+
+/// The one coordinator loop behind run_distributed (pool == nullptr:
+/// the peers are options.hosts) and run_multiprocess (the peers are
+/// pool->workers local worker processes).
+CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
+                          const DispatchOptions& options,
+                          const MultiprocessOptions* pool) {
   namespace fs = std::filesystem;
   ignore_sigpipe();
 
@@ -81,33 +189,43 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
   std::vector<std::uint8_t> failed_bit(trials.size(), 0);
   std::vector<std::uint8_t> main_has(trials.size(), 0);
 
-  // Resume, stage 1: the main journal (prior completed campaigns /
-  // compacted shards). Seed mismatches belong to another campaign.
+  // Resume: the main journal (prior completed campaigns / compacted
+  // shards), then the shards a SIGKILLed coordinator left behind — its
+  // own result shard, or a pre-lease coordinator's per-worker shards.
+  // Seed mismatches belong to another campaign.
   if (user_journal) {
     auto loaded = TrialJournal::load(stem);
-    report.journal_torn = loaded.torn;
-    for (auto& entry : loaded.entries) {
-      if (entry.trial_index >= trials.size()) continue;
-      if (entry.seed != trials[entry.trial_index].seed) continue;
-      main_has[entry.trial_index] = 1;
-      if (report.completed[entry.trial_index]) continue;
-      report.results[entry.trial_index] = std::move(entry.result);
-      report.completed[entry.trial_index] = 1;
-      ++report.replayed;
-    }
-    // Stage 2: shards a SIGKILLed coordinator left behind — results
-    // hosts had already streamed survived it; pick them up.
     auto merged = TrialJournal::merge_shards(stem);
-    report.journal_torn = report.journal_torn || merged.torn;
-    for (auto& entry : merged.entries) {
-      if (entry.trial_index >= trials.size()) continue;
-      if (entry.seed != trials[entry.trial_index].seed) continue;
-      if (report.completed[entry.trial_index]) continue;
-      report.results[entry.trial_index] = std::move(entry.result);
-      report.completed[entry.trial_index] = 1;
-      ++report.replayed;
-    }
+    report.journal_torn = loaded.torn || merged.torn;
+    const auto replay = [&](std::vector<JournalEntry>& entries, bool main) {
+      for (auto& entry : entries) {
+        const std::size_t i = entry.trial_index;
+        if (i >= trials.size() || entry.seed != trials[i].seed) continue;
+        if (main) main_has[i] = 1;
+        if (report.completed[i]) continue;
+        report.results[i] = std::move(entry.result);
+        report.completed[i] = 1;
+        ++report.replayed;
+      }
+    };
+    replay(loaded.entries, true);
+    replay(merged.entries, false);
   }
+
+  // Worker flight snapshots live next to the journal, or in a private
+  // directory removed at the end.
+  fs::path temp_dir;
+  std::string flight_stem = stem;
+  if (pool != nullptr && !user_journal) {
+    temp_dir = fs::temp_directory_path() /
+               ("fourbit-mp-" + std::to_string(::getpid()));
+    std::error_code ec;
+    fs::create_directories(temp_dir, ec);
+    flight_stem = (temp_dir / "campaign").string();
+  }
+  const auto flight_base = [&](const Peer& p) {
+    return flight_stem + ".w" + std::to_string(p.index);
+  };
 
   // The trials this run owes: everything unsettled, or the subset.
   std::vector<std::size_t> owed;
@@ -125,242 +243,313 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
     return report.completed[i] != 0 || failed_bit[i] != 0;
   };
 
+  std::vector<Peer> peers;
+  if (pool != nullptr) {
+    peers.resize(std::clamp<std::size_t>(
+        pool->workers, 1, std::max<std::size_t>(1, owed.size())));
+  } else {
+    peers.resize(options.hosts.size());
+  }
+  for (std::size_t k = 0; k < peers.size(); ++k) {
+    peers[k].index = k;
+    peers[k].local = pool != nullptr;
+    if (pool == nullptr) peers[k].addr = options.hosts[k];
+  }
+
   std::map<std::size_t, std::size_t> crash_counts;
   std::size_t progress_done = static_cast<std::size_t>(report.replayed);
   std::size_t failed_count = 0;
 
-  const auto emit_progress = [&](std::size_t index,
+  const auto emit_progress = [&](Peer& peer, std::size_t index,
                                  const ExperimentResult* result,
                                  const TrialFailure* failure) {
     ++progress_done;
     if (failure != nullptr) ++failed_count;
-    if (options.supervisor.on_trial_done) {
-      TrialProgress p;
-      p.trial_index = index;
-      p.completed = progress_done;
-      p.total = trials.size();
-      p.failed = failed_count;
-      p.retried = static_cast<std::size_t>(report.retries);
-      p.config = &trials[index];
-      p.result = result;
-      p.failure = failure;
-      p.host_losses = static_cast<std::size_t>(report.host_losses);
-      p.lease_reassignments =
-          static_cast<std::size_t>(report.lease_reassignments);
-      options.supervisor.on_trial_done(p);
-    }
+    ++(failure != nullptr ? peer.failed_here : peer.done_here);
+    if (!options.supervisor.on_trial_done) return;
+    TrialProgress p;
+    p.trial_index = index;
+    p.completed = progress_done;
+    p.total = trials.size();
+    p.failed = failed_count;
+    p.retried = static_cast<std::size_t>(report.retries);
+    p.config = &trials[index];
+    p.result = result;
+    p.failure = failure;
+    p.host_losses = static_cast<std::size_t>(report.host_losses);
+    p.lease_reassignments =
+        static_cast<std::size_t>(report.lease_reassignments);
+    options.supervisor.on_trial_done(p);
   };
 
-  // Every result accepted over the wire goes straight to a
-  // coordinator-side shard: a host's work is durable the moment the
-  // coordinator has it, so SIGKILLing the coordinator loses nothing.
-  std::optional<TrialJournal> remote_shard;
+  const auto settle_failure = [&](Peer& peer, TrialFailure failure) {
+    failed_bit[failure.trial_index] = 1;
+    report.failures.push_back(std::move(failure));
+    emit_progress(peer, report.failures.back().trial_index, nullptr,
+                  &report.failures.back());
+  };
+
+  // Every result accepted from a peer goes straight to a coordinator-
+  // side shard: a trial is durable the moment the coordinator has it,
+  // so SIGKILLing the coordinator loses nothing already reported.
+  std::optional<TrialJournal> result_shard;
   const auto journal_result = [&](std::size_t i) {
     if (!user_journal) return;
-    if (!remote_shard) {
-      remote_shard =
-          TrialJournal::open_append(TrialJournal::shard_path(stem,
-                                                             kRemoteShardId));
+    if (!result_shard) {
+      result_shard = TrialJournal::open_append(
+          TrialJournal::shard_path(stem, kRemoteShardId));
     }
-    remote_shard->append(static_cast<std::uint32_t>(i), trials[i].seed,
+    result_shard->append(static_cast<std::uint32_t>(i), trials[i].seed,
                          report.results[i]);
   };
 
-  const auto fail_hard = [&](std::size_t index, const std::string& what) {
+  const auto fail_hard = [&](Peer& peer, std::size_t index,
+                             const std::string& what, int sig) {
     if (settled(index)) return;
-    failed_bit[index] = 1;
     TrialFailure failure;
     failure.kind = FailureKind::kHardCrash;
     failure.what = what;
     failure.trial_index = index;
     failure.seed = trials[index].seed;
     failure.attempt = std::max<std::size_t>(1, crash_counts[index]);
-    report.failures.push_back(std::move(failure));
-    emit_progress(index, nullptr, &report.failures.back());
+    failure.term_signal = sig;
+    // Best evidence available: the worker's last flushed snapshot.
+    if (peer.local) {
+      auto snap = load_flight_snapshot(
+          flight_snapshot_path(flight_base(peer), index));
+      if (snap && snap->trial_index == index &&
+          snap->seed == trials[index].seed) {
+        failure.flight = std::move(snap->events);
+      }
+    }
+    settle_failure(peer, std::move(failure));
   };
 
-  const auto fail_timeout = [&](std::size_t index) {
+  const auto fail_timeout = [&](Peer& peer, std::size_t index) {
     if (settled(index)) return;
-    failed_bit[index] = 1;
     ++report.attempts;
     TrialFailure failure;
     failure.kind = FailureKind::kTimeout;
     failure.what = "trial exceeded the coordinator watchdog (" +
                    std::to_string(options.trial_timeout_ms) +
-                   " ms in flight); its host session was dropped";
+                   " ms in flight); " +
+                   (peer.local ? "its worker was killed"
+                               : "its host session was dropped");
     failure.trial_index = index;
     failure.seed = trials[index].seed;
     failure.attempt = 1;
-    report.failures.push_back(std::move(failure));
-    emit_progress(index, nullptr, &report.failures.back());
+    settle_failure(peer, std::move(failure));
   };
 
-  std::vector<HostSlot> hosts(options.hosts.size());
-  for (std::size_t k = 0; k < hosts.size(); ++k) {
-    hosts[k].index = k;
-    hosts[k].addr = options.hosts[k];
-  }
   std::deque<std::size_t> unleased(owed.begin(), owed.end());
   std::uint32_t lease_counter = 0;
 
-  // Backoff jitter seed: campaign-stable but host-distinct, so a fleet
-  // of lost hosts never reconnects in lockstep.
-  const auto backoff_seed = [&](const HostSlot& h) {
-    return trials.front().seed + 0x9E3779B97F4A7C15ULL * (h.index + 1);
-  };
-
   // Campaign metrics: settled trials' final registries from kTrialDone
-  // records, plus each live session's forwarded view. Host views are
+  // records, plus each live session's forwarded view. A caller's board
+  // (a host agent's lease) is fed instead when given. Peer views are
   // keyed past the last trial index, so they never collide with the
   // local fallback's per-trial views.
-  StatusBoard status_board;
-  const auto live_key = [&](const HostSlot& h) {
-    return trials.size() + h.index;
+  StatusBoard own_board;
+  StatusBoard& status_board = options.supervisor.status != nullptr
+                                  ? *options.supervisor.status
+                                  : own_board;
+  const auto live_key = [&](const Peer& p) { return trials.size() + p.index; };
+
+  // Retires a peer after max_host_failures fruitless sessions in a row,
+  // else schedules its restart. The jitter seed is campaign-stable but
+  // peer-distinct, so a fleet of lost peers never comes back in lockstep.
+  const auto back_off = [&](Peer& p, const std::string& why) {
+    if (p.fruitless >= options.max_host_failures) {
+      p.retired = true;
+      std::fprintf(stderr,
+                   "fourbit-dispatch: retiring %s %s after %zu fruitless "
+                   "sessions (%s)\n",
+                   p.local ? "worker" : "host", p.name().c_str(), p.fruitless,
+                   why.c_str());
+      return;
+    }
+    const std::uint64_t seed =
+        trials.front().seed + 0x9E3779B97F4A7C15ULL * (p.index + 1);
+    p.restart_at =
+        Clock::now() +
+        std::chrono::milliseconds(options.reconnect_backoff.delay_ms(
+            std::max<std::size_t>(1, p.fruitless), seed));
   };
 
-  const auto session_death = [&](HostSlot& h, const std::string& why) {
-    if (h.fd < 0) return;
-    ::close(h.fd);
-    h.fd = -1;
-    h.hello = false;
-    h.parser = TransportParser{};
-    ++report.host_losses;
-    ++h.losses;
+  // The last worker death, for failing what is left once every worker
+  // has been retired.
+  std::size_t last_dead = 0;
+  std::string last_what;
+  int last_sig = 0;
+
+  const auto peer_death = [&](Peer& p, Death death) {
+    if (p.fd < 0) return;
+    ::close(p.fd);
+    p.fd = -1;
+    p.hello = false;
+    p.parser = TransportParser{};
     // Whatever the session had in flight is re-leased or failed; none
     // of its partial work may count.
-    status_board.drop_live(live_key(h));
-    // The trials in flight when the host died are hard-crash suspects,
-    // exactly like trials in flight during a worker death: count the
-    // crash against each, quarantine past max_trial_crashes.
-    for (const std::size_t i : h.in_flight) {
+    status_board.drop_live(live_key(p));
+    const std::string why = death_reason(death);
+    std::string what;
+    int sig = 0;
+    if (p.local) {
+      if (death != Death::kEof) ::kill(p.pid, SIGKILL);
+      int status = 0;
+      ::waitpid(p.pid, &status, 0);
+      p.pid = -1;
+      sig = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
+      const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+      ++report.hard_crashes;
+      what = worker_death_what(p, death, sig, code,
+                               options.heartbeat_timeout_ms);
+      last_dead = p.index;
+      last_what = what;
+      last_sig = sig;
+    } else {
+      ++report.host_losses;
+      ++p.losses;
+    }
+    // Every trial in flight at the moment of death is a suspect; one
+    // that keeps being in flight when its peer dies is the killer.
+    for (const std::size_t i : p.in_flight) {
       if (settled(i)) continue;
       ++report.attempts;
       const std::size_t crashes = ++crash_counts[i];
-      if (crashes >= options.max_trial_crashes) {
-        fail_hard(i, "host session lost while the trial was in flight (" +
-                         why + "); trial survived " +
-                         std::to_string(crashes) +
-                         " host losses across the fleet (last host " +
-                         h.name() + ")");
-      }
+      if (crashes < options.max_trial_crashes) continue;
+      fail_hard(p, i,
+                p.local ? what
+                        : "host session lost while the trial was in flight (" +
+                              why + "); trial survived " +
+                              std::to_string(crashes) +
+                              " host losses across the fleet (last host " +
+                              p.name() + ")",
+                sig);
     }
-    h.in_flight.clear();
-    h.started_at.clear();
-    // Whatever the lease still owes goes back to the pool for another
-    // host (or the local fallback).
+    p.in_flight.clear();
+    p.started_at.clear();
+    // Whatever the lease still owes goes back for another peer.
     bool returned = false;
-    for (const std::size_t i : h.lease) {
+    for (const std::size_t i : p.lease) {
       if (!settled(i)) {
         unleased.push_back(i);
         returned = true;
       }
     }
-    if (returned) ++report.lease_reassignments;
-    h.lease.clear();
-    h.lease_id = 0;
-    if (h.progress_this_session) {
-      h.fruitless = 0;
+    if (returned && !p.local) ++report.lease_reassignments;
+    p.lease.clear();
+    p.lease_id = 0;
+    if (!p.progress) ++p.fruitless;
+    p.progress = false;
+    back_off(p, p.local ? what : why);
+  };
+
+  const auto start_peer = [&](Peer& p) {
+    if (p.local) {
+      p.fd = spawn_worker(*pool, flight_base(p), p.pid);
+      if (p.spawned) {
+        ++p.losses;
+        ++report.worker_respawns;
+      }
+      p.spawned = true;
     } else {
-      ++h.fruitless;
+      p.fd = connect_to_host(p.addr.host, p.addr.port,
+                             options.connect_timeout_ms);
+      if (p.fd < 0) {
+        ++p.fruitless;
+        back_off(p, "connect failed");
+        return;
+      }
     }
-    h.progress_this_session = false;
-    if (h.fruitless >= options.max_host_failures) {
-      h.retired = true;
-      std::fprintf(stderr,
-                   "fourbit-dispatch: retiring host %s after %zu fruitless "
-                   "sessions (%s)\n",
-                   h.name().c_str(), h.fruitless, why.c_str());
-      return;
+    p.hello = false;
+    p.parser = TransportParser{};
+    p.last_heard = Clock::now();
+    p.last_retried_total = 0;
+    p.progress = false;
+  };
+
+  const auto grant = [&](Peer& p, std::size_t live) {
+    std::size_t want = options.lease_trials;
+    if (want == 0) {
+      // Small enough that a lost peer forfeits little work.
+      want = std::min<std::size_t>(32, unleased.size() / (2 * live) + 1);
+      // A worker runs its lease on --threads threads: whole rounds.
+      const std::size_t threads = options.supervisor.threads;
+      if (p.local && threads > 1) {
+        want = (want + threads - 1) / threads * threads;
+      }
     }
-    h.reconnect_at =
-        Clock::now() +
-        std::chrono::milliseconds(options.reconnect_backoff.delay_ms(
-            std::max<std::size_t>(1, h.fruitless), backoff_seed(h)));
-  };
-
-  const auto lease_size = [&](std::size_t live_hosts) {
-    if (options.lease_trials > 0) return options.lease_trials;
-    const std::size_t spread =
-        unleased.size() / (2 * std::max<std::size_t>(1, live_hosts)) + 1;
-    return std::min<std::size_t>(32, spread);
-  };
-
-  const auto send_to = [&](HostSlot& h, const std::vector<std::uint8_t>& f) {
-    if (h.fd < 0) return false;
-    if (write_all_fd(h.fd, f.data(), f.size())) return true;
-    session_death(h, "send failed");
-    return false;
-  };
-
-  const auto grant = [&](HostSlot& h, std::size_t live_hosts) {
     std::vector<std::size_t> lease;
-    const std::size_t want = lease_size(live_hosts);
     while (!unleased.empty() && lease.size() < want) {
       const std::size_t i = unleased.front();
       unleased.pop_front();
       if (!settled(i)) lease.push_back(i);
     }
     if (lease.empty()) return;
-    h.lease = lease;
-    h.lease_id = ++lease_counter;
+    p.lease = lease;
+    p.lease_id = ++lease_counter;
     ControlMessage m;
     m.kind = ControlKind::kLeaseGrant;
-    m.lease = h.lease_id;
+    m.lease = p.lease_id;
     m.text = format_index_spans(lease);
-    if (!send_to(h, encode_control_message(m))) return;  // lease returned
+    const auto frame = encode_control_message(m);
+    if (!write_all_fd(p.fd, frame.data(), frame.size())) {
+      peer_death(p, Death::kSendFailed);  // the lease is returned
+    }
   };
 
-  const auto handle_frame = [&](HostSlot& h, TransportFrame frame) -> bool {
+  const auto handle_frame = [&](Peer& p, TransportFrame frame) -> bool {
     switch (frame.type) {
       case TransportFrame::Type::kStatus: {
         WorkerRecord& rec = frame.record;
         const std::size_t index = rec.trial_index;
         switch (rec.kind) {
           case WorkerRecordKind::kHello:
-            h.hello = true;
+            p.hello = true;
             return true;
           case WorkerRecordKind::kHeartbeat:
-          case WorkerRecordKind::kBye:
-            return true;
-          case WorkerRecordKind::kStatus:
-            // Hosts stream status as ControlKind::kStatus; an FW-framed
-            // status record counts as liveness only, never progress.
             return true;
           case WorkerRecordKind::kTrialStart:
-            // Liveness, not progress: only settling records clear the
-            // fruitless counter, so a host that starts trials but never
-            // finishes one still retires.
             if (index < trials.size() && !settled(index)) {
-              h.in_flight.insert(index);
-              h.started_at[index] = Clock::now();
+              p.in_flight.insert(index);
+              p.started_at[index] = Clock::now();
+              // A pool serving a host agent's lease relays starts upward.
+              if (options.supervisor.on_trial_start) {
+                options.supervisor.on_trial_start(index, trials[index]);
+              }
+            }
+            // For a host, a start is liveness, not progress: a host that
+            // starts trials but never finishes one still retires.
+            if (p.local) {
+              p.progress = true;
+              p.fruitless = 0;
             }
             return true;
           case WorkerRecordKind::kTrialDone:
           case WorkerRecordKind::kTrialFailed:
             break;
         }
-        h.progress_this_session = true;
-        h.fruitless = 0;
-        h.in_flight.erase(index);
-        if (const auto it = h.started_at.find(index);
-            it != h.started_at.end()) {
+        p.progress = true;
+        p.fruitless = 0;
+        p.in_flight.erase(index);
+        if (const auto it = p.started_at.find(index);
+            it != p.started_at.end()) {
           status_board.record_trial_wall(it->second);
-          h.started_at.erase(it);
+          p.started_at.erase(it);
         }
-        // The session's next kStatus restores its other live trials.
-        status_board.drop_live(live_key(h));
-        if (rec.retried_total >= h.last_retried_total) {
-          const std::uint32_t delta = rec.retried_total - h.last_retried_total;
+        // The peer's next kStatus restores its other live trials.
+        status_board.drop_live(live_key(p));
+        if (rec.retried_total >= p.last_retried_total) {
+          const std::uint32_t delta = rec.retried_total - p.last_retried_total;
           report.retries += delta;
           report.attempts += delta;  // every retry is one more invocation
-          h.last_retried_total = rec.retried_total;
+          p.last_retried_total = rec.retried_total;
         }
         if (index >= trials.size() || failed_bit[index]) return true;
         if (rec.kind == WorkerRecordKind::kTrialDone) {
-          // Completion is settled by the result frame that follows (the
-          // wire twin of "results never ride the pipe; they ride the
-          // journal"); the trial's final metrics ride here, last-wins
-          // per index like results.
+          // Completion is settled by the result frame that follows; the
+          // trial's final metrics ride here, last-wins per index.
           if (auto metrics = decode_status_snapshot(rec.what)) {
             status_board.settle_metrics(index, std::move(*metrics));
           }
@@ -368,8 +557,6 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
         }
         if (report.completed[index]) return true;
         ++report.attempts;
-        failed_bit[index] = 1;
-        ++h.failed_here;
         TrialFailure failure;
         failure.kind = rec.failure_kind;
         failure.what = std::move(rec.what);
@@ -377,8 +564,7 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
         failure.seed = rec.seed;
         failure.attempt = rec.attempt;
         failure.flight = std::move(rec.flight);
-        report.failures.push_back(std::move(failure));
-        emit_progress(index, nullptr, &report.failures.back());
+        settle_failure(p, std::move(failure));
         return true;
       }
       case TransportFrame::Type::kResult: {
@@ -387,43 +573,36 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
         if (index >= trials.size()) return true;          // foreign index
         if (entry.seed != trials[index].seed) return true;  // foreign seed
         if (failed_bit[index]) return true;  // settled as failed: ignore
-        h.progress_this_session = true;
-        h.fruitless = 0;
-        if (report.completed[index]) {
-          // Double-completion after a spurious lease expiry: last
-          // record wins, the shard-merge rule applied live.
-          report.results[index] = std::move(entry.result);
-          return true;
-        }
+        p.progress = true;
+        p.fruitless = 0;
         report.results[index] = std::move(entry.result);
+        // A double completion after a spurious lease expiry: last record
+        // wins, and the trial was already counted.
+        if (report.completed[index]) return true;
         report.completed[index] = 1;
         ++report.attempts;
-        ++h.done_here;
         journal_result(index);
-        emit_progress(index, &report.results[index], nullptr);
+        emit_progress(p, index, &report.results[index], nullptr);
         return true;
       }
       case TransportFrame::Type::kControl: {
         const ControlMessage& m = frame.control;
         if (m.kind == ControlKind::kStatus) {
-          // Off-band observability: the host's live view replaces its
-          // previous one. Liveness only — never progress, never trial
-          // accounting. Undecodable payloads are dropped (the CRC
-          // passed; this is version skew, not line noise).
+          // Off-band observability: the peer's live view replaces its
+          // previous one. Never progress, never trial accounting; an
+          // undecodable payload is version skew and is dropped.
           if (auto live = decode_status_snapshot(m.text)) {
-            status_board.set_live(live_key(h), std::move(*live));
+            status_board.set_live(live_key(p), std::move(*live));
           }
           return true;
         }
-        if (m.kind != ControlKind::kLeaseComplete) {
-          // Only hosts send kLeaseComplete; a grant or shutdown coming
-          // BACK is a protocol violation — the stream is garbage.
-          return false;
-        }
-        if (m.lease != h.lease_id) return true;  // stale lease: ignore
+        // Only peers send kLeaseComplete; a grant or shutdown coming
+        // BACK is a protocol violation — the stream is garbage.
+        if (m.kind != ControlKind::kLeaseComplete) return false;
+        if (m.lease != p.lease_id) return true;  // stale lease: ignore
         bool returned = false;
         bool any_settled = false;
-        for (const std::size_t i : h.lease) {
+        for (const std::size_t i : p.lease) {
           if (settled(i)) {
             any_settled = true;
           } else {
@@ -431,28 +610,27 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
             returned = true;
           }
         }
-        if (returned) ++report.lease_reassignments;
-        h.lease.clear();
-        h.lease_id = 0;
-        if (!any_settled) {
-          // A lease "completed" with nothing settled means the host is
-          // running a different trial list (argv drift) or dropping
-          // every result. Re-granting forever would wedge the campaign;
-          // fruitless-session accounting retires it instead.
-          session_death(h, "lease completed without settling any trial");
-        }
+        if (returned && !p.local) ++report.lease_reassignments;
+        p.lease.clear();
+        p.lease_id = 0;
+        // Nothing settled means the peer runs a different trial list
+        // (argv drift) or drops every result; re-granting forever would
+        // wedge the campaign, fruitless-session accounting retires it.
+        if (!any_settled) peer_death(p, Death::kIdleLease);
         return true;
       }
     }
     return true;
   };
 
-  // fourbit.status/1 publication: coordinator lifecycle truth, per-host
+  // fourbit.status/1 publication: coordinator lifecycle truth, per-peer
   // lease state/health, and the board's metrics. The fallback counters
   // are atomics because during the degradation pass a StatusPublisher
   // thread reads them while run_supervised's callback writes them.
   const bool status_publishing =
       !options.status_path.empty() || static_cast<bool>(options.on_status);
+  const auto status_every = std::chrono::milliseconds(
+      std::max<std::uint64_t>(10, options.status_interval_ms));
   const auto campaign_start = Clock::now();
   std::uint64_t status_seq = 0;
   auto last_status_publish = campaign_start;
@@ -462,7 +640,6 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
   const auto publish_status = [&] {
     StatusSnapshot snap;
     status_board.fill_snapshot(snap);
-    const std::uint64_t local_in_flight = snap.in_flight;
     const std::uint64_t all_settled_count =
         progress_done + fallback_settled.load(std::memory_order_relaxed);
     const std::uint64_t all_failed =
@@ -472,23 +649,24 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
     snap.retried =
         report.retries + fallback_retried.load(std::memory_order_relaxed);
     snap.replayed = report.replayed;
+    snap.hard_crashes = report.hard_crashes;
+    snap.worker_respawns = report.worker_respawns;
     snap.host_losses = report.host_losses;
     snap.lease_reassignments = report.lease_reassignments;
-    std::uint64_t wire_in_flight = 0;
-    for (const auto& h : hosts) wire_in_flight += h.in_flight.size();
-    snap.in_flight = local_in_flight + wire_in_flight;
-    for (const auto& h : hosts) {
+    for (const auto& p : peers) {
+      snap.in_flight += p.in_flight.size();
       StatusSource src;
-      src.name = h.name();
-      src.kind = StatusSource::Kind::kHost;
-      src.alive = h.fd >= 0;
-      src.retired = h.retired;
-      src.done = h.done_here;
-      src.failed = h.failed_here;
-      src.in_flight = h.in_flight.size();
-      src.losses = h.losses;
-      src.fruitless = h.fruitless;
-      src.lease = format_index_spans(h.lease);
+      src.name = p.name();
+      src.kind =
+          p.local ? StatusSource::Kind::kWorker : StatusSource::Kind::kHost;
+      src.alive = p.fd >= 0;
+      src.retired = p.retired;
+      src.done = p.done_here;
+      src.failed = p.failed_here;
+      src.in_flight = p.in_flight.size();
+      src.losses = p.losses;
+      src.fruitless = p.fruitless;
+      src.lease = format_index_spans(p.lease);
       snap.sources.push_back(std::move(src));
     }
     const double elapsed =
@@ -500,176 +678,158 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
     if (options.on_status) options.on_status(snap);
   };
 
-  // ---- the dispatch loop ----
+  // ---- the coordinator loop ----
   while (true) {
     const auto now = Clock::now();
 
     // Publish at the top of the sweep so the file stays fresh even
-    // while every host is down and the loop is just waiting on backoff.
-    if (status_publishing &&
-        now - last_status_publish >=
-            std::chrono::milliseconds(std::max<std::uint64_t>(
-                10, options.status_interval_ms))) {
+    // while every peer is down and the loop is just waiting on backoff.
+    if (status_publishing && now - last_status_publish >= status_every) {
       last_status_publish = now;
       publish_status();
     }
-
-    bool all_settled = true;
-    for (const std::size_t i : owed) {
-      if (!settled(i)) {
-        all_settled = false;
-        break;
-      }
-    }
-    if (all_settled) {
-      ControlMessage bye;
-      bye.kind = ControlKind::kShutdown;
-      const auto frame = encode_control_message(bye);
-      for (auto& h : hosts) {
-        status_board.drop_live(live_key(h));
-        if (h.fd < 0) continue;
-        write_all_fd(h.fd, frame.data(), frame.size());
-        ::close(h.fd);
-        h.fd = -1;
-      }
+    // A worker reports its lease complete right after its last result;
+    // waiting for that lets it exit on kShutdown, not on a write to a
+    // closed socket.
+    const bool all_settled = std::all_of(owed.begin(), owed.end(), settled);
+    if (all_settled && std::none_of(peers.begin(), peers.end(),
+                                    [](const Peer& p) {
+                                      return p.local && !p.lease.empty();
+                                    })) {
       break;
     }
 
-    // Reconnect lost hosts whose backoff has elapsed.
-    for (auto& h : hosts) {
-      if (h.retired || h.fd >= 0 || now < h.reconnect_at) continue;
-      const int fd =
-          connect_to_host(h.addr.host, h.addr.port, options.connect_timeout_ms);
-      if (fd < 0) {
-        ++h.fruitless;
-        if (h.fruitless >= options.max_host_failures) {
-          h.retired = true;
-          std::fprintf(stderr,
-                       "fourbit-dispatch: retiring host %s after %zu failed "
-                       "connects\n",
-                       h.name().c_str(), h.fruitless);
-          continue;
-        }
-        h.reconnect_at =
-            Clock::now() +
-            std::chrono::milliseconds(options.reconnect_backoff.delay_ms(
-                std::max<std::size_t>(1, h.fruitless), backoff_seed(h)));
+    // (Re)start peers whose backoff has elapsed.
+    for (auto& p : peers) {
+      if (all_settled || p.retired || p.fd >= 0 || now < p.restart_at) {
         continue;
       }
-      h.fd = fd;
-      h.hello = false;
-      h.parser = TransportParser{};
-      h.last_heard = Clock::now();
-      h.last_retried_total = 0;
-      h.progress_this_session = false;
+      start_peer(p);
     }
 
     std::size_t live = 0;
-    bool all_retired = true;
-    for (const auto& h : hosts) {
-      if (h.fd >= 0) ++live;
-      if (!h.retired) all_retired = false;
-    }
+    for (const auto& p : peers) live += p.fd >= 0 ? 1 : 0;
     if (live == 0) {
-      if (all_retired) break;  // every host is gone: local fallback
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      if (std::all_of(peers.begin(), peers.end(),
+                      [](const Peer& p) { return p.retired; })) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
       continue;
     }
 
-    // Grant work to idle identified hosts.
-    for (auto& h : hosts) {
-      if (h.fd >= 0 && h.hello && h.lease.empty() && !unleased.empty()) {
-        grant(h, live);
+    // Grant work to idle identified peers.
+    for (auto& p : peers) {
+      if (p.fd >= 0 && p.hello && p.lease.empty() && !unleased.empty()) {
+        grant(p, live);
       }
     }
 
-    // Poll and drain.
+    // Poll and drain. EINTR (SIGCHLD from a dying worker) is an early
+    // timeout, never an error.
     std::vector<pollfd> pfds;
-    std::vector<HostSlot*> owners;
-    for (auto& h : hosts) {
-      if (h.fd < 0) continue;
-      pfds.push_back(pollfd{h.fd, POLLIN, 0});
-      owners.push_back(&h);
+    std::vector<Peer*> owners;
+    for (auto& p : peers) {
+      if (p.fd < 0) continue;
+      pfds.push_back(pollfd{p.fd, POLLIN, 0});
+      owners.push_back(&p);
     }
     if (pfds.empty()) continue;
-    poll_retry(pfds.data(), pfds.size(), 50);
+    if (poll_retry(pfds.data(), pfds.size(), 50) < 0) {
+      for (auto& pfd : pfds) pfd.revents = 0;
+    }
 
     for (std::size_t x = 0; x < pfds.size(); ++x) {
-      HostSlot& h = *owners[x];
-      if (h.fd < 0) continue;  // killed earlier this sweep
+      Peer& p = *owners[x];
+      if (p.fd < 0) continue;  // died earlier this sweep
       if ((pfds[x].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      bool dead = false;
-      std::string why;
-      while (h.fd >= 0) {
+      std::optional<Death> death;
+      while (true) {
         std::uint8_t buf[65536];
-        ssize_t n;
-        do {
-          n = ::read(h.fd, buf, sizeof buf);
-        } while (n < 0 && errno == EINTR);
+        const ssize_t n = ::read(p.fd, buf, sizeof buf);
         if (n > 0) {
-          h.last_heard = Clock::now();
-          h.parser.feed(buf, static_cast<std::size_t>(n));
+          p.last_heard = Clock::now();
+          p.parser.feed(buf, static_cast<std::size_t>(n));
           continue;
         }
+        if (n < 0 && errno == EINTR) continue;
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        dead = true;
-        why = n == 0 ? "disconnected" : "read failed";
+        death = Death::kEof;
         break;
       }
-      while (h.fd >= 0) {
-        auto frame = h.parser.next();
+      // Settle everything the peer reported before judging its death:
+      // pre-crash records are real completions.
+      while (p.fd >= 0) {
+        auto frame = p.parser.next();
         if (!frame) break;
-        if (!handle_frame(h, std::move(*frame))) {
-          dead = true;
-          why = "protocol violation";
+        if (!handle_frame(p, std::move(*frame))) {
+          death = Death::kCorrupt;
           break;
         }
       }
-      if (h.fd >= 0 && h.parser.corrupt()) {
-        dead = true;
-        why = "corrupt stream";
-      }
-      if (dead && h.fd >= 0) session_death(h, why);
+      if (p.parser.corrupt()) death = Death::kCorrupt;
+      if (death) peer_death(p, *death);
     }
 
-    // Deadlines: heartbeat silence and (when armed) per-trial watchdog.
-    const auto deadline_now = Clock::now();
-    for (auto& h : hosts) {
-      if (h.fd < 0) continue;
-      const auto silent_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline_now -
-                                                                h.last_heard)
-              .count();
-      if (silent_ms > static_cast<std::int64_t>(options.heartbeat_timeout_ms)) {
-        session_death(h, "heartbeat silence (" + std::to_string(silent_ms) +
-                             " ms)");
+    // Watchdogs: heartbeat silence and (when armed) per-trial wall time.
+    const auto check = Clock::now();
+    for (auto& p : peers) {
+      if (p.fd < 0) continue;
+      if (options.heartbeat_timeout_ms != 0 &&
+          check - p.last_heard >
+              std::chrono::milliseconds(options.heartbeat_timeout_ms)) {
+        peer_death(p, Death::kHeartbeat);
         continue;
       }
       if (options.trial_timeout_ms == 0) continue;
       std::vector<std::size_t> overdue;
-      for (const auto& [i, t0] : h.started_at) {
-        const auto in_flight_ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(deadline_now -
-                                                                  t0)
-                .count();
-        if (in_flight_ms >
-            static_cast<std::int64_t>(options.trial_timeout_ms)) {
+      for (const auto& [i, since] : p.started_at) {
+        if (check - since >
+            std::chrono::milliseconds(options.trial_timeout_ms)) {
           overdue.push_back(i);
         }
       }
-      if (!overdue.empty()) {
-        for (const std::size_t i : overdue) fail_timeout(i);
-        session_death(h, "trial-timeout");
-      }
+      if (overdue.empty()) continue;
+      // The overdue trial is a terminal timeout right now, not a crash
+      // suspect; collateral in-flight trials are suspects as usual.
+      for (const std::size_t i : overdue) fail_timeout(p, i);
+      peer_death(p, Death::kTrialTimeout);
     }
   }
 
-  // ---- degradation floor: finish whatever is left locally ----
+  // Shut every session down: host agents hang up and wait for the next
+  // coordinator; workers exit at once and are reaped here.
+  {
+    ControlMessage bye;
+    bye.kind = ControlKind::kShutdown;
+    const auto frame = encode_control_message(bye);
+    for (auto& p : peers) {
+      status_board.drop_live(live_key(p));
+      if (p.fd < 0) continue;
+      write_all_fd(p.fd, frame.data(), frame.size());
+      ::close(p.fd);
+      p.fd = -1;
+    }
+    for (auto& p : peers) {
+      if (p.pid > 0) ::waitpid(p.pid, nullptr, 0);
+      p.pid = -1;
+    }
+  }
+
+  // ---- every peer retired with trials left ----
   std::vector<std::size_t> remaining;
   for (const std::size_t i : owed) {
     if (!settled(i)) remaining.push_back(i);
   }
-  if (!remaining.empty()) {
+  if (!remaining.empty() && pool != nullptr) {
+    // Running them in-process would give up crash isolation: workers
+    // that keep dying before reporting anything condemn the rest.
+    for (const std::size_t i : remaining) {
+      fail_hard(peers[last_dead], i,
+                last_what + " (repeatedly, before reporting any trial)",
+                last_sig);
+    }
+  } else if (!remaining.empty()) {
     std::fprintf(stderr,
                  "fourbit-dispatch: every host is gone; finishing %zu "
                  "remaining trials locally\n",
@@ -693,7 +853,7 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
       q.retried = static_cast<std::size_t>(base_retries) + p.retried;
       inner(q);
     };
-    // The fallback supervisor feeds the same board the wire fed, and a
+    // The fallback supervisor feeds the same board the peers fed, and a
     // publisher thread keeps the file fresh while run_supervised blocks.
     local.status = &status_board;
     std::optional<StatusPublisher> fallback_publisher;
@@ -718,20 +878,10 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
   }
 
   if (user_journal) {
-    remote_shard.reset();  // flush + close before the merge reads it
-    // Late double-completions may sit in the shards; fold them in with
-    // the same last-wins rule, then compact everything into the main
-    // journal IN INDEX ORDER — the byte order a single-process
-    // --threads run would have produced — and delete the shards.
-    auto merged = TrialJournal::merge_shards(stem);
-    report.journal_torn = report.journal_torn || merged.torn;
-    for (auto& entry : merged.entries) {
-      if (entry.trial_index >= trials.size()) continue;
-      if (entry.seed != trials[entry.trial_index].seed) continue;
-      if (failed_bit[entry.trial_index]) continue;
-      report.results[entry.trial_index] = std::move(entry.result);
-      report.completed[entry.trial_index] = 1;
-    }
+    // Compact: fold every new result into the main journal IN INDEX
+    // ORDER — the bytes a single-process --threads run would have left
+    // — then delete the shards and flight snapshots ("<stem>.w*").
+    result_shard.reset();
     {
       auto out = TrialJournal::open_append(stem);
       for (std::size_t i = 0; i < trials.size(); ++i) {
@@ -752,23 +902,28 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
       }
     }
   }
+  if (!temp_dir.empty()) {
+    std::error_code ec;
+    fs::remove_all(temp_dir, ec);
+  }
 
   report.journal_write_failures =
       TrialJournal::write_failures() - journal_failures_before;
-  // Settlement order is network scheduling; the report must not be.
+  // Settlement order is scheduling; the report must not be.
   std::sort(report.failures.begin(), report.failures.end(),
             [](const TrialFailure& a, const TrialFailure& b) {
               return a.trial_index < b.trial_index;
             });
   // Per-host health ledger, in --hosts order (deterministic), for
   // describe() and post-mortems.
-  for (const auto& h : hosts) {
+  for (const auto& p : peers) {
+    if (p.local) continue;
     HostHealth health;
-    health.name = h.name();
-    health.completed = h.done_here;
-    health.losses = h.losses;
-    health.fruitless = h.fruitless;
-    health.retired = h.retired;
+    health.name = p.name();
+    health.completed = p.done_here;
+    health.losses = p.losses;
+    health.fruitless = p.fruitless;
+    health.retired = p.retired;
     report.host_health.push_back(std::move(health));
   }
   // The last published snapshot is the settled end state — a poller
@@ -777,23 +932,54 @@ CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
   return report;
 }
 
-// ---- host agent -------------------------------------------------------
+}  // namespace
+
+CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
+                               const DispatchOptions& options) {
+  return coordinate(trials, options, nullptr);
+}
+
+CampaignReport run_multiprocess(const std::vector<ExperimentConfig>& trials,
+                                const MultiprocessOptions& options) {
+  if (!trials.empty() && options.exec_argv.empty()) {
+    throw std::runtime_error(
+        "run_multiprocess: exec_argv is empty (pass CampaignCli::exec_argv)");
+  }
+  DispatchOptions policy;
+  policy.supervisor = options.supervisor;
+  policy.heartbeat_timeout_ms = options.heartbeat_timeout_ms;
+  policy.trial_timeout_ms = options.trial_timeout_ms;
+  policy.reconnect_backoff = options.respawn_backoff;
+  policy.max_trial_crashes = options.max_trial_crashes;
+  // A worker that keeps dying before reporting any progress is retired.
+  policy.max_host_failures =
+      std::max<std::size_t>(2, options.max_trial_crashes);
+  policy.status_path = options.status_path;
+  policy.status_interval_ms = options.status_interval_ms;
+  policy.on_status = options.on_status;
+  return coordinate(trials, policy, &options);
+}
+
+// ---- agent side: host agents and local workers -------------------------
 
 namespace {
 
-/// Socket writer shared by the session thread and the heartbeat
-/// thread: frames are written whole under a mutex, and the first
-/// failed write latches the session dead (the coordinator is gone;
-/// everything further is discarded).
-class SessionWriter {
+/// One coordinator session as seen from the agent. The writer is shared
+/// by the session loop, the lease's trial threads and the ticker thread:
+/// frames are written whole under a mutex. The first failed write means
+/// the coordinator is gone — a local worker exits on the spot (nothing
+/// it holds is durable anywhere else), a host agent latches the session
+/// dead and waits for the next coordinator.
+class Session {
  public:
-  explicit SessionWriter(int fd) : fd_(fd) {}
+  Session(int fd, bool exit_when_orphaned)
+      : fd_(fd), exit_when_orphaned_(exit_when_orphaned) {}
 
   bool send(const std::vector<std::uint8_t>& frame) {
-    if (dead_.load(std::memory_order_relaxed)) return false;
-    const std::lock_guard<std::mutex> lock{mutex_};
+    const std::lock_guard<std::mutex> lock{write_mutex_};
     if (dead_.load(std::memory_order_relaxed)) return false;
     if (!write_all_fd(fd_, frame.data(), frame.size())) {
+      if (exit_when_orphaned_) ::_exit(1);
       dead_.store(true, std::memory_order_relaxed);
       return false;
     }
@@ -804,15 +990,65 @@ class SessionWriter {
     return dead_.load(std::memory_order_relaxed);
   }
 
+  /// The running lease's board, whose live view the ticker streams.
+  void set_board(StatusBoard* board) {
+    const std::lock_guard<std::mutex> lock{tick_mutex_};
+    board_ = board;
+  }
+
+  /// Heartbeats every beat_ms and the live view every status_ms, until
+  /// stop_ticker() — which wakes the thread at once rather than after
+  /// its current sleep.
+  void start_ticker(std::uint64_t beat_ms, std::uint64_t status_ms) {
+    ticker_ = std::thread([this, beat = std::chrono::milliseconds(beat_ms),
+                           status = std::chrono::milliseconds(status_ms)] {
+      std::unique_lock<std::mutex> lock{tick_mutex_};
+      auto last_beat = Clock::now();
+      auto last_status = last_beat;
+      while (!wake_.wait_for(lock, std::min(beat, status),
+                             [this] { return stopping_; })) {
+        const auto now = Clock::now();
+        if (now - last_beat >= beat) {
+          WorkerRecord rec;
+          rec.kind = WorkerRecordKind::kHeartbeat;
+          send(encode_worker_record(rec));
+          last_beat = now;
+        }
+        if (board_ != nullptr && now - last_status >= status) {
+          ControlMessage m;
+          m.kind = ControlKind::kStatus;
+          m.text = status_payload(board_->live_view());
+          send(encode_control_message(m));
+          last_status = now;
+        }
+      }
+    });
+  }
+
+  void stop_ticker() {
+    {
+      const std::lock_guard<std::mutex> lock{tick_mutex_};
+      stopping_ = true;
+    }
+    wake_.notify_all();
+    ticker_.join();
+  }
+
  private:
   int fd_;
-  std::mutex mutex_;
+  bool exit_when_orphaned_;
+  std::mutex write_mutex_;
   std::atomic<bool> dead_{false};
+  std::mutex tick_mutex_;
+  std::condition_variable wake_;
+  bool stopping_ = false;
+  StatusBoard* board_ = nullptr;
+  std::thread ticker_;
 };
 
 void run_lease(const std::vector<ExperimentConfig>& trials,
                const CampaignCli& cli, const SupervisorOptions& base,
-               SessionWriter& writer, const ControlMessage& grant,
+               Session& session, const ControlMessage& grant,
                std::uint32_t& session_retries) {
   std::vector<std::size_t> subset;
   if (auto parsed = parse_index_spans(grant.text)) {
@@ -821,13 +1057,10 @@ void run_lease(const std::vector<ExperimentConfig>& trials,
     }
   }
 
-  CampaignReport rep;
-  std::set<std::size_t> streamed;
   if (!subset.empty()) {
-    // The lease's board: the worker pool or the in-process supervisor
+    // The lease's board: the supervisor (or a host agent's worker pool)
     // feeds it, kTrialDone records carry each settled trial's metrics
-    // from it, and its live view flows back over FT as kStatus control
-    // frames. The agent itself never writes a --status-json file.
+    // from it, and the ticker streams its live view as kStatus frames.
     StatusBoard board;
     SupervisorOptions sopts = base;
     sopts.subset = subset;
@@ -836,14 +1069,12 @@ void run_lease(const std::vector<ExperimentConfig>& trials,
                                const ExperimentConfig& config) {
       WorkerRecord rec;
       rec.kind = WorkerRecordKind::kTrialStart;
-      rec.worker = cli.worker_id;
       rec.trial_index = static_cast<std::uint32_t>(index);
       rec.seed = config.seed;
-      writer.send(encode_worker_record(rec));
+      session.send(encode_worker_record(rec));
     };
     sopts.on_trial_done = [&](const TrialProgress& p) {
       WorkerRecord rec;
-      rec.worker = cli.worker_id;
       rec.trial_index = static_cast<std::uint32_t>(p.trial_index);
       rec.seed = trials[p.trial_index].seed;
       rec.retried_total =
@@ -859,27 +1090,21 @@ void run_lease(const std::vector<ExperimentConfig>& trials,
         rec.attempt = 1;
         rec.what = status_payload(board.trial_metrics(p.trial_index));
       }
-      writer.send(encode_worker_record(rec));
-      // In-process leases have the result right here: stream it now,
-      // so a later trial crashing this agent cannot strand work the
-      // coordinator could already have made durable.
-      if (p.failure == nullptr && p.result != nullptr) {
-        writer.send(encode_journal_record(
+      session.send(encode_worker_record(rec));
+      // Stream the result now, so a later trial crashing this process
+      // cannot strand work the coordinator could already have made
+      // durable.
+      if (p.result != nullptr) {
+        session.send(encode_journal_record(
             {static_cast<std::uint32_t>(p.trial_index),
              trials[p.trial_index].seed, *p.result}));
-        streamed.insert(p.trial_index);
       }
     };
-    StatusPublisher publisher{cli.status_interval_ms, [&] {
-      ControlMessage m;
-      m.kind = ControlKind::kStatus;
-      m.lease = grant.lease;
-      m.text = status_payload(board.live_view());
-      writer.send(encode_control_message(m));
-    }};
+    session.set_board(&board);
+    CampaignReport rep;
     if (cli.workers > 0) {
-      // The lease rides the PR 7 worker pool: trial SIGSEGVs take down
-      // a worker process, not this agent.
+      // A host agent's lease rides a local worker pool: trial SIGSEGVs
+      // take down a worker process, not this agent.
       MultiprocessOptions mp;
       mp.supervisor = sopts;
       mp.workers = cli.workers;
@@ -891,53 +1116,35 @@ void run_lease(const std::vector<ExperimentConfig>& trials,
     } else {
       rep = run_supervised(trials, sopts);
     }
+    session.set_board(nullptr);
     session_retries += static_cast<std::uint32_t>(rep.retries);
-
-    // Worker-pool leases (results ride shards, not the progress
-    // callback) stream whatever was not already sent per-trial.
-    for (const std::size_t i : subset) {
-      if (!rep.completed[i] || streamed.count(i) != 0) continue;
-      writer.send(encode_journal_record(
-          {static_cast<std::uint32_t>(i), trials[i].seed, rep.results[i]}));
-    }
   }
 
   ControlMessage done;
   done.kind = ControlKind::kLeaseComplete;
   done.lease = grant.lease;
-  writer.send(encode_control_message(done));
+  session.send(encode_control_message(done));
 }
 
 /// One coordinator session: hello, heartbeats, leases until the
 /// coordinator hangs up, shuts us down, or the stream goes bad.
 void serve_session(int fd, const std::vector<ExperimentConfig>& trials,
-                   const CampaignCli& cli, const SupervisorOptions& options) {
-  SessionWriter writer{fd};
+                   const CampaignCli& cli, const SupervisorOptions& options,
+                   bool worker) {
+  Session session{fd, worker};
   {
     WorkerRecord hello;
     hello.kind = WorkerRecordKind::kHello;
-    hello.worker = cli.worker_id;
-    writer.send(encode_worker_record(hello));
+    session.send(encode_worker_record(hello));
   }
-
-  std::atomic<bool> done{false};
-  const std::uint64_t beat_ms = std::max<std::uint64_t>(
-      50, cli.worker_heartbeat_ms != 0 ? cli.worker_heartbeat_ms : 250);
-  std::thread heartbeat([&] {
-    while (!done.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(beat_ms));
-      if (done.load(std::memory_order_relaxed)) break;
-      WorkerRecord beat;
-      beat.kind = WorkerRecordKind::kHeartbeat;
-      beat.worker = cli.worker_id;
-      writer.send(encode_worker_record(beat));
-    }
-  });
+  session.start_ticker(
+      std::max<std::uint64_t>(10, cli.worker_heartbeat_ms),
+      std::max<std::uint64_t>(10, cli.status_interval_ms));
 
   TransportParser parser;
   std::uint32_t session_retries = 0;
   bool hangup = false;
-  while (!hangup && !writer.dead()) {
+  while (!hangup && !session.dead()) {
     pollfd pfd{fd, POLLIN, 0};
     const int polled = poll_retry(&pfd, 1, 500);
     if (polled < 0) break;
@@ -955,30 +1162,31 @@ void serve_session(int fd, const std::vector<ExperimentConfig>& trials,
     }
     parser.feed(buf, static_cast<std::size_t>(n));
     while (auto frame = parser.next()) {
-      if (frame->type != TransportFrame::Type::kControl) {
-        hangup = true;  // only control frames flow coordinator -> host
-        break;
+      // Only grants and shutdowns flow coordinator -> agent; anything
+      // else is nonsense and ends the session.
+      if (frame->type == TransportFrame::Type::kControl &&
+          frame->control.kind == ControlKind::kLeaseGrant) {
+        run_lease(trials, cli, options, session, frame->control,
+                  session_retries);
+        continue;
       }
-      switch (frame->control.kind) {
-        case ControlKind::kLeaseGrant:
-          run_lease(trials, cli, options, writer, frame->control,
-                    session_retries);
-          break;
-        case ControlKind::kShutdown:
-          hangup = true;
-          break;
-        case ControlKind::kLeaseComplete:
-        case ControlKind::kStatus:
-          hangup = true;  // nonsense from a coordinator
-          break;
-      }
-      if (hangup) break;
+      hangup = true;
+      break;
     }
     if (parser.corrupt()) break;
   }
+  session.stop_ticker();
+}
 
-  done.store(true, std::memory_order_relaxed);
-  heartbeat.join();
+/// The agent keeps no journal and serves no nested campaign: results
+/// are durable on the coordinator the moment they land, and a
+/// reassigned lease re-runs from scratch anyway (trials are pure).
+SupervisorOptions agent_options(SupervisorOptions options) {
+  options.journal_path.clear();
+  options.subset.clear();
+  options.on_trial_done = nullptr;
+  options.on_trial_start = nullptr;
+  return options;
 }
 
 }  // namespace
@@ -986,13 +1194,7 @@ void serve_session(int fd, const std::vector<ExperimentConfig>& trials,
 void run_host_agent(const std::vector<ExperimentConfig>& trials,
                     const CampaignCli& cli, SupervisorOptions options) {
   ignore_sigpipe();
-  // The agent keeps no journal and runs no nested distribution:
-  // results are durable on the coordinator the moment they land, and a
-  // reassigned lease re-runs from scratch anyway (trials are pure).
-  options.journal_path.clear();
-  options.subset.clear();
-  options.on_trial_done = nullptr;
-  options.on_trial_start = nullptr;
+  options = agent_options(std::move(options));
 
   const auto listener =
       listen_on(static_cast<std::uint16_t>(std::max(0, cli.serve_port)));
@@ -1012,9 +1214,23 @@ void run_host_agent(const std::vector<ExperimentConfig>& trials,
     if (fd < 0) continue;
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    serve_session(fd, trials, cli, options);
+    serve_session(fd, trials, cli, options, /*worker=*/false);
     ::close(fd);
   }
+}
+
+void run_worker(const std::vector<ExperimentConfig>& trials,
+                const CampaignCli& cli, SupervisorOptions options) {
+  ignore_sigpipe();
+  options = agent_options(std::move(options));
+  // Periodic flight-recorder snapshots are the coordinator's evidence
+  // if this process dies mid-trial.
+  options.flight_flush_base = cli.worker_flight;
+  // --workers in the re-exec'd argv is the coordinator's, not ours.
+  CampaignCli session_cli = cli;
+  session_cli.workers = 0;
+  serve_session(cli.worker_fd, trials, session_cli, options, /*worker=*/true);
+  std::exit(0);
 }
 
 }  // namespace fourbit::runner

@@ -1,40 +1,48 @@
-// Distributed campaign dispatch: a lease-serving coordinator and the
-// host agent that executes leases, built for preemptible fleets.
+// The campaign coordinator: one lease-serving loop for every
+// multi-process campaign, and the agent side that executes leases.
 //
-// Topology: one coordinator (`--hosts a:port,b:port`), N host agents
-// (any bench binary relaunched with `--serve port`). Both ends derive
-// the identical trial list from the same bench arguments — the exact
-// self-exec contract the worker pool (worker.hpp) established — so the
-// only things that cross the wire are trial INDICES (lease grants) and
-// trial RESULTS (journal frames). The coordinator:
+// The loop drives two kinds of peer through one session protocol:
+//   * host agents (`--hosts a:port,b:port`): any bench binary relaunched
+//     with `--serve port`, reached over TCP (run_distributed);
+//   * local workers (`--workers K`): the bench binary self-exec'd on a
+//     socketpair (run_multiprocess, worker.hpp).
+// Both ends derive the identical trial list from the same bench
+// arguments, so the only things that cross the wire are trial INDICES
+// (lease grants) and trial RESULTS (journal frames). The coordinator:
 //
-//   * serves trial-index leases to connected hosts and tracks a
-//     per-lease deadline (heartbeat silence, disconnect, or a corrupt
-//     stream expires the lease);
-//   * reassigns expired leases to whichever host is alive, reconnecting
-//     to lost hosts with capped-exponential Backoff and retiring a host
-//     after max_host_failures fruitless sessions;
-//   * deduplicates double-completions by (index, seed) last-wins —
-//     exactly the shard-merge rule — so a lease finishing on two hosts
-//     after a spurious expiry is harmless;
-//   * attributes host loss to the trials that were in flight and marks
-//     a trial kHardCrash once it survives max_trial_crashes host
-//     deaths (the crash-loop quarantine, extended across machines);
+//   * serves trial-index leases to connected peers and tracks a
+//     per-lease deadline (heartbeat silence, disconnect, a corrupt
+//     stream, or an overrun trial ends the session);
+//   * returns a dead peer's lease to the pool, restarts the peer
+//     (reconnect, or respawn) with capped-exponential Backoff, and
+//     retires it after max_host_failures fruitless sessions;
+//   * deduplicates double-completions by (index, seed) last-wins, so a
+//     lease finishing on two hosts after a spurious expiry is harmless;
+//   * attributes a peer death to the trials that were in flight and
+//     marks a trial kHardCrash once it survives max_trial_crashes of
+//     them (the crash-loop quarantine, across workers and machines);
 //   * journals every accepted result to a coordinator-side shard
 //     ("<stem>.w1000000.journal"), so SIGKILLing the coordinator loses
-//     nothing a host already reported; and
-//   * degrades to a pure-local run_supervised pass over whatever is
-//     left if every host dies — the campaign ALWAYS completes.
+//     nothing a peer already reported; and
+//   * once every peer is retired, finishes the rest with a local
+//     run_supervised pass (hosts: the campaign ALWAYS completes) or
+//     fails it as kHardCrash (workers: running a crashing trial
+//     in-process would give up the isolation the pool exists for).
+//
+// What differs per peer kind is only how a peer starts (connect, or
+// fork/exec), how its death is read (socket close, or waitpid with
+// signal/exit attribution and flight-recorder evidence), what it counts
+// (host_losses/lease_reassignments, or hard_crashes/worker_respawns),
+// and the all-retired rule above.
 //
 // Determinism: every trial is a pure function of its config, results
 // ride CRC-framed journal records byte-for-byte, the final report is
 // keyed by trial index, and the shard compaction at the end rewrites
-// the main journal in index order — so a clean distributed run's
-// CampaignReport and --journal file are byte-identical to a
-// single-process run, and a resume after coordinator SIGKILL is
-// bit-identical too. Liveness caveat: a host that heartbeats but never
-// finishes its trial is only expired when --max-trial-ms arms
-// trial_timeout_ms, same as the worker pool.
+// the main journal in index order — so a clean run's CampaignReport
+// and --journal file are byte-identical to a single-process run, and a
+// resume after coordinator SIGKILL is bit-identical too. Liveness
+// caveat: a peer that heartbeats but never finishes its trial is only
+// expired when --max-trial-ms arms trial_timeout_ms.
 #pragma once
 
 #include <cstddef>
@@ -48,10 +56,11 @@
 
 namespace fourbit::runner {
 
-/// Coordinator-side journal shard ids, far above any worker-pool slot
-/// (those are 0..workers-1): results accepted over the wire, and the
-/// local-fallback supervisor's journal, live in these shards until the
-/// final compaction folds both into the main journal.
+/// Coordinator-side journal shard ids, far above the per-worker shards
+/// a pre-lease coordinator wrote (0..workers-1, still replayed on
+/// resume): results accepted from peers, and the local-fallback
+/// supervisor's journal, live in these shards until the final
+/// compaction folds both into the main journal.
 inline constexpr std::size_t kRemoteShardId = 1'000'000;
 inline constexpr std::size_t kLocalShardId = 1'000'001;
 
@@ -106,7 +115,8 @@ struct DispatchOptions {
 /// "fourbit-agent: listening on port N"), then serves coordinator
 /// sessions forever — grant in, trials run (through the worker pool
 /// when --workers is given, in-process otherwise), statuses and
-/// results stream out. Never returns; the agent dies by signal.
+/// results stream out. Never returns; the agent dies by signal. A local
+/// worker (run_worker) serves one such session on its socketpair.
 /// `options` is the agent's supervisor policy — typically
 /// cli.supervisor_options(), run_trial overridden by tests; its
 /// journal_path is ignored (results are durable on the coordinator).

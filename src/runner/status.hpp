@@ -6,9 +6,9 @@
 // ETA, one row per worker/host source with its lease state and health,
 // and the campaign's telemetry metrics (StatusBoard: the final registries
 // of settled trials plus the live view of trials still running). Workers
-// stream their live view over the FW pipe (WorkerRecordKind::kStatus)
-// and each settled trial's final registry in its kTrialDone record; host
-// agents do the same over the FT socket. The coordinator publishes via
+// and host agents stream their live view as FT kStatus control frames
+// and each settled trial's final registry in its kTrialDone record, over
+// their coordinator session (transport.hpp). The coordinator publishes via
 // `--status-json` (write-temp-then-rename, so the file is always one
 // complete JSON object) and the live ticker.
 //

@@ -356,11 +356,7 @@ CampaignCli consume_campaign_cli(int& argc, char** argv) {
   if (const auto fd = consume_uint_flag(argc, argv, "--worker-fd")) {
     cli.worker_fd = static_cast<int>(*fd);
   }
-  cli.worker_id = static_cast<std::uint32_t>(
-      consume_uint_flag(argc, argv, "--worker-id").value_or(0));
-  cli.worker_shard = consume_flag(argc, argv, "--worker-shard").value_or("");
-  cli.worker_trials =
-      consume_flag(argc, argv, "--worker-trials").value_or("");
+  cli.worker_flight = consume_flag(argc, argv, "--worker-flight").value_or("");
   cli.worker_heartbeat_ms =
       consume_uint_flag(argc, argv, "--worker-heartbeat-ms").value_or(250);
   cli.journal = consume_flag(argc, argv, "--journal").value_or("");

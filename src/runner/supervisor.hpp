@@ -125,8 +125,8 @@ struct SupervisorOptions {
   /// throwing / asserting / hanging trials here.
   std::function<ExperimentResult(const ExperimentConfig&)> run_trial;
 
-  /// Run only these trial indices (empty = all). A multi-process worker
-  /// (worker.hpp) runs the range the coordinator assigned it this way;
+  /// Run only these trial indices (empty = all). A worker or host agent
+  /// (dispatch.hpp) runs each lease the coordinator grants it this way;
   /// unlisted slots stay untouched in the report.
   std::vector<std::size_t> subset;
   /// Invoked on the worker thread immediately before a trial's first
@@ -282,11 +282,9 @@ struct CampaignCli {
 
   // Hidden worker-mode plumbing (never typed by a user): the
   // coordinator re-execs argv with these appended, and run_campaign
-  // (worker.hpp) branches into the worker protocol when worker_fd >= 0.
-  int worker_fd = -1;          // --worker-fd: pipe back to the coordinator
-  std::uint32_t worker_id = 0; // --worker-id
-  std::string worker_shard;    // --worker-shard: this worker's journal shard
-  std::string worker_trials;   // --worker-trials: assigned index spans
+  // (worker.hpp) serves the coordinator session when worker_fd >= 0.
+  int worker_fd = -1;        // --worker-fd: socket to the coordinator
+  std::string worker_flight; // --worker-flight: flight-snapshot base
   std::uint64_t worker_heartbeat_ms = 250;  // --worker-heartbeat-ms
 
   /// Snapshot of the ORIGINAL argv (before any flag was stripped): the

@@ -20,7 +20,7 @@ namespace {
 constexpr std::uint8_t kControlVersion = 1;
 constexpr std::size_t kFrameHeaderBytes = 6;  // magic u16 + length u32
 constexpr std::size_t kCrcBytes = 2;
-// Per-magic sanity caps, mirroring the pipe parser: status and control
+// Per-magic sanity caps: status and control
 // frames are small, but a journal frame carries per-node vectors and
 // scales with topology size (~12 bytes/node), so it gets more rope. A
 // length past the cap is corruption, not a giant record.

@@ -1,28 +1,29 @@
-// TCP transport for distributed campaign dispatch (dispatch.hpp).
+// The session transport of the coordinator loop (dispatch.hpp): the
+// framing every peer — a TCP host agent or a local worker on a
+// socketpair — speaks to the coordinator, and the fd plumbing under it.
 //
-// The wire protocol is deliberately NOT new: a host agent streams the
-// exact CRC-framed records the worker pool already defines — status
-// frames ("FW", worker.hpp) for liveness and trial lifecycle, journal
-// frames ("FJ", journal.hpp) for results — plus one small control
-// framing ("FT") for lease grants and completion. Every frame is
-// magic u16 | length u32 | payload | crc16(payload), so one
-// incremental parser (TransportParser) demultiplexes the socket by
-// magic and any framing violation latches corrupt(), which the
-// coordinator treats exactly like a worker pipe going bad: the host
-// session is dead, its lease expires, the trials move elsewhere.
+// A session multiplexes three CRC-framed record kinds: status frames
+// ("FW", worker.hpp) for liveness and trial lifecycle, journal frames
+// ("FJ", journal.hpp) for results, and control frames ("FT") for lease
+// grants, completion and live status. Every frame is
+// magic u16 | length u32 | payload | crc16(payload), so one incremental
+// parser (TransportParser) demultiplexes the stream by magic, and any
+// framing violation latches corrupt(), which the coordinator treats as
+// the peer's death: the session ends, its lease returns to the pool,
+// and a worker behind it gets hard-crash treatment.
 //
 // Control frames ("FT") carry:
 //     payload = version u8 | kind u8 | lease u32 | text (u32 + bytes)
-//   coordinator -> host:  kLeaseGrant (text = index spans, e.g.
+//   coordinator -> peer:  kLeaseGrant (text = index spans, e.g.
 //                         "0-4,9"), kShutdown (campaign settled)
-//   host -> coordinator:  kLeaseComplete (every trial in the lease is
-//                         settled and its results have been streamed)
+//   peer -> coordinator:  kLeaseComplete (every trial in the lease is
+//                         settled and its results have been streamed),
+//                         kStatus (the peer's live view)
 //
-// The fd helpers here are the EINTR/partial-write audit the worker
-// pipe already passed, extended to sockets: poll/accept/connect retry
-// on EINTR, write_all_fd finishes short writes and waits out EAGAIN on
-// nonblocking fds, and both ends ignore SIGPIPE (a peer death must
-// surface as a return value, never a signal).
+// The fd helpers retry EINTR on poll/accept/connect, write_all_fd
+// finishes short writes and waits out EAGAIN on nonblocking fds, and
+// both ends ignore SIGPIPE (a peer death must surface as a return
+// value, never a signal).
 #pragma once
 
 #include <poll.h>
@@ -116,10 +117,11 @@ struct TransportFrame {
   ControlMessage control;  // kControl ("FT")
 };
 
-/// Incremental parser over the mixed-magic socket stream, same
-/// contract as WorkerPipeParser: feed bytes as they arrive, drain
-/// complete frames with next(), and any framing/CRC/decode violation
-/// latches corrupt() — the peer is untrustworthy from that point.
+/// Incremental parser over the mixed-magic session stream: feed bytes
+/// as they arrive (any chunking), drain complete frames with next()
+/// (nullopt while a frame is still partial), and any framing/CRC/decode
+/// violation latches corrupt() — the peer is untrustworthy from that
+/// point.
 class TransportParser {
  public:
   void feed(const std::uint8_t* data, std::size_t n);

@@ -1,31 +1,37 @@
-// Multi-process campaign execution: a coordinator that fork/execs
-// worker processes and survives anything a trial can do to them.
+// Multi-process campaign execution: local worker processes that take
+// the crash of any trial with them, and the one campaign entry point.
 //
 // The in-process supervisor (supervisor.hpp) catches what C++ lets it
 // catch — exceptions, asserts, cooperative budget timeouts. It is
 // structurally blind to SIGSEGV, SIGBUS, OOM kills and std::terminate:
 // those take the whole process, and every sibling trial, with it.
-// run_multiprocess moves the isolation boundary to processes:
+// run_multiprocess moves the isolation boundary to processes, and runs
+// them through the same coordinator loop as a distributed campaign
+// (dispatch.hpp):
 //
-//   * The coordinator self-execs argv with hidden --worker-* flags; a
-//     worker rebuilds the identical trial list from argv (every bench
-//     derives trials purely from its arguments) and runs only its
-//     assigned index spans via SupervisorOptions::subset.
-//   * Workers report status — hello, heartbeats, trial start/done/
-//     failed — over a CRC-framed pipe. RESULTS never ride the pipe:
-//     each worker appends them to its own crash-safe journal shard
-//     ("<stem>.w<k>.journal", journal.hpp), which is what makes both
-//     worker and coordinator deaths recoverable.
+//   * The coordinator self-execs argv with hidden --worker-* flags and
+//     its end of a socketpair; a worker rebuilds the identical trial
+//     list from argv (every bench derives trials purely from its
+//     arguments) and runs the host agent's session protocol on the
+//     socket: hello, heartbeats, then trial-index leases run in-process
+//     by run_supervised.
+//   * Everything rides that socket as CRC-framed records: status frames
+//     ("FW", below) for trial start/done/failed, results as journal
+//     frames ("FJ", journal.hpp), lease control frames ("FT",
+//     transport.hpp). The coordinator appends each result to its own
+//     crash-safe journal shard the moment it arrives, so a coordinator
+//     SIGKILL loses nothing a worker reported. A worker whose
+//     coordinator is gone exits at its next write.
 //   * The coordinator reaps deaths with waitpid and converts fatal
-//     signals / nonzero exits / torn pipe frames into
-//     FailureKind::kHardCrash, attaching the worker's last flushed
-//     flight-recorder snapshot when one exists. Dead workers respawn
-//     with capped exponential backoff; a trial that keeps killing its
-//     worker is marked failed-permanent after max_trial_crashes, so a
-//     poisonous config degrades the campaign instead of wedging it.
-//   * At the end the coordinator merges all shards into one
-//     CampaignReport that is bit-identical to a single-process run for
-//     every surviving trial, at any --workers / --threads combination.
+//     signals / nonzero exits / torn frames into FailureKind::kHardCrash,
+//     attaching the worker's last flushed flight-recorder snapshot when
+//     one exists. Dead workers respawn with capped exponential backoff;
+//     a trial that keeps killing its worker is marked failed-permanent
+//     after max_trial_crashes, so a poisonous config degrades the
+//     campaign instead of wedging it.
+//   * The final CampaignReport is bit-identical to a single-process run
+//     for every surviving trial, at any --workers / --threads
+//     combination, and so is the compacted --journal file.
 #pragma once
 
 #include <cstddef>
@@ -41,12 +47,9 @@
 
 namespace fourbit::runner {
 
-// ---- worker -> coordinator pipe protocol ------------------------------
+// ---- trial status records ("FW") ---------------------------------------
 //
-// One direction only (worker writes, coordinator reads): the worker's
-// entire input is its argv, so a torn or corrupt frame can always be
-// blamed on the worker and handled as a hard crash — never a protocol
-// deadlock. Frame layout mirrors the journal:
+// What a worker or host agent reports about its trials, one frame each:
 //     magic   u16  0x4657 ("FW")
 //     length  u32  payload byte count
 //     payload      version u8 | kind u8 | worker u32 | trial_index u32
@@ -54,22 +57,16 @@ namespace fourbit::runner {
 //                  | retried_total u32 | what (u32 + bytes)
 //                  | flight (u32 + 37-byte events)
 //     crc     u16  CRC-16/CCITT over the payload
+// TransportParser (transport.hpp) reads them off the session socket.
 
 enum class WorkerRecordKind : std::uint8_t {
-  kHello = 0,      // first record after exec
-  kHeartbeat = 1,  // liveness tick (heartbeat_interval_ms cadence)
+  kHello = 0,      // first record of a session
+  kHeartbeat = 1,  // liveness tick (--worker-heartbeat-ms cadence)
   kTrialStart = 2, // a trial's first attempt is beginning
-  /// Trial completed; its result is in the shard. `what` carries the
-  /// trial's final telemetry as a fourbit.status/1 payload.
+  /// Trial completed; its result follows as a journal frame. `what`
+  /// carries the trial's final telemetry as a fourbit.status/1 payload.
   kTrialDone = 3,
   kTrialFailed = 4,// trial failed terminally in-process (soft failure)
-  kBye = 5,        // clean shutdown follows
-  /// Periodic observability: `what` carries the worker's live view
-  /// (its in-flight trials' registries) as a fourbit.status/1 payload
-  /// (runner/status.hpp codec). Strictly off-band — the coordinator
-  /// shows it in --status-json and the ticker until the next one
-  /// replaces it; it never influences trial accounting.
-  kStatus = 6,
 };
 
 struct WorkerRecord {
@@ -79,13 +76,12 @@ struct WorkerRecord {
   std::uint64_t seed = 0;
   std::uint32_t attempt = 0;       // attempts consumed by this trial
   FailureKind failure_kind = FailureKind::kException;  // kTrialFailed
-  std::uint32_t retried_total = 0; // retries so far, this incarnation
+  std::uint32_t retried_total = 0; // retries so far, this session
   std::string what;                // kTrialFailed: the failure message
   std::vector<sim::TelemetryEvent> flight;  // kTrialFailed only
 };
 
-/// Worker status frame magic ("FW"). The dispatch transport multiplexes
-/// status frames over the host/coordinator socket and dispatches on it.
+/// Status frame magic ("FW").
 inline constexpr std::uint16_t kWorkerPipeMagic = 0x4657;
 
 /// Serializes one record as a complete frame (header + payload + CRC).
@@ -96,23 +92,6 @@ inline constexpr std::uint16_t kWorkerPipeMagic = 0x4657;
 /// and the CRC). Returns nullopt on version or layout mismatch.
 [[nodiscard]] std::optional<WorkerRecord> decode_worker_record_payload(
     std::span<const std::uint8_t> payload);
-
-/// Incremental frame parser over an arbitrary byte stream. Feed bytes
-/// as they arrive; drain complete records with next(). Any framing or
-/// CRC violation latches corrupt() — the stream is untrustworthy from
-/// that point and the worker behind it gets hard-crash treatment.
-class WorkerPipeParser {
- public:
-  void feed(const std::uint8_t* data, std::size_t n);
-  /// Next complete record, or nullopt (need more bytes / corrupt).
-  [[nodiscard]] std::optional<WorkerRecord> next();
-  [[nodiscard]] bool corrupt() const { return corrupt_; }
-
- private:
-  std::vector<std::uint8_t> buffer_;
-  std::size_t pos_ = 0;  // consumed prefix, compacted opportunistically
-  bool corrupt_ = false;
-};
 
 // ---- trial index spans ------------------------------------------------
 
@@ -129,7 +108,7 @@ class WorkerPipeParser {
 //
 // A worker can die holding the only evidence of what its sim was doing.
 // run_experiment periodically flushes the flight recorder to
-// flight_snapshot_path(shard, index) (write-temp-then-rename, so the
+// flight_snapshot_path(base, index) (write-temp-then-rename, so the
 // file is always a complete snapshot or absent); the coordinator loads
 // the latest one into the hard-crash TrialFailure.
 
@@ -148,18 +127,17 @@ void write_flight_snapshot(const std::string& path, std::size_t trial_index,
 [[nodiscard]] std::optional<FlightSnapshot> load_flight_snapshot(
     const std::string& path);
 
-// ---- the coordinator --------------------------------------------------
+// ---- the worker pool --------------------------------------------------
 
 struct MultiprocessOptions {
   /// Trial-level policy (threads = per-worker threads; journal_path =
   /// the main journal stem, also where shards live; on_trial_start and
-  /// on_trial_done fire on the coordinator as workers report — result
-  /// pointers are null, results only exist after the final shard merge).
+  /// on_trial_done fire on the coordinator as workers report).
   SupervisorOptions supervisor;
   std::size_t workers = 1;
   /// The self-exec command: the ORIGINAL argv (CampaignCli::exec_argv).
-  /// The coordinator appends --worker-fd/--worker-id/--worker-shard/
-  /// --worker-trials when spawning.
+  /// The coordinator appends --worker-fd/--worker-flight/
+  /// --worker-heartbeat-ms when spawning.
   std::vector<std::string> exec_argv;
 
   /// Worker liveness: a worker that sends nothing for
@@ -173,8 +151,11 @@ struct MultiprocessOptions {
   /// SimBudget cannot interrupt (e.g. a blocking syscall).
   std::uint64_t trial_timeout_ms = 0;
 
-  /// Backoff between a worker death and its respawn, seeded by the
-  /// first still-pending trial so respawn timing is deterministic.
+  /// Backoff between a worker death and its respawn: base delay after a
+  /// productive life, doubling over consecutive fruitless ones (dying
+  /// before reporting any trial). max(2, max_trial_crashes) fruitless
+  /// deaths in a row retire the worker; once every worker is retired,
+  /// the trials left fail as kHardCrash.
   Backoff respawn_backoff{250, 10'000, 0.25};
   /// A trial in flight during this many worker deaths is declared the
   /// killer and marked failed-permanent (kHardCrash) instead of being
@@ -191,18 +172,19 @@ struct MultiprocessOptions {
   std::function<void(const StatusSnapshot&)> on_status;
 };
 
-/// Runs the campaign across worker processes. Blocks until every trial
-/// is settled (completed, failed, or failed-permanent). Never throws on
-/// worker misbehavior — only on coordinator-side I/O setup errors.
+/// Runs the campaign across worker processes through the coordinator
+/// loop of dispatch.cpp. Blocks until every trial is settled (completed,
+/// failed, or failed-permanent) and every worker is reaped. Never throws
+/// on worker misbehavior — only on coordinator-side I/O setup errors.
 [[nodiscard]] CampaignReport run_multiprocess(
     const std::vector<ExperimentConfig>& trials,
     const MultiprocessOptions& options);
 
-/// Worker-mode entry: runs the assigned spans via run_supervised with
-/// the shard journal and streams status over cli.worker_fd, then exits
-/// the process (never returns). `options` is the worker's supervisor
-/// policy — typically cli.supervisor_options(), with run_trial
-/// overridden by tests.
+/// Worker-mode entry (--worker-fd): serves the coordinator session on
+/// cli.worker_fd — the host agent's protocol, leases run in-process —
+/// then exits the process (never returns). `options` is the worker's
+/// supervisor policy — typically cli.supervisor_options(), with
+/// run_trial overridden by tests; its journal is ignored.
 [[noreturn]] void run_worker(const std::vector<ExperimentConfig>& trials,
                              const CampaignCli& cli,
                              SupervisorOptions options);

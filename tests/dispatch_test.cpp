@@ -1,7 +1,7 @@
 // Tests of distributed campaign dispatch (runner/dispatch.hpp) and its
-// TCP transport (runner/transport.hpp): the control-frame codec, the
-// mixed-magic TransportParser, a mutation fuzzer over both stream
-// parsers, the --hosts/--serve/--lease CLI surface, the journal
+// session transport (runner/transport.hpp): the control-frame codec,
+// the mixed-magic TransportParser, a mutation fuzzer over it, the
+// --hosts/--serve/--lease CLI surface, the journal
 // write-failure latch, and end-to-end localhost campaigns against real
 // host-agent processes that get SIGKILLed mid-trial.
 //
@@ -141,7 +141,8 @@ std::function<ExperimentResult(const ExperimentConfig&)> clean_run_trial() {
 
 /// Agent- and worker-mode entry (called from main when --serve or the
 /// hidden --worker-fd is present): rebuild the trial list from the
-/// --dt-* flags and serve leases forever, or run the assigned spans.
+/// --dt-* flags and serve leases over TCP forever, or over the worker's
+/// socketpair until the coordinator is done.
 [[noreturn]] void dt_child_main(int argc, char** argv, CampaignCli cli) {
   const Scenario scenario = parse_scenario(
       consume_flag(argc, argv, "--dt-scenario").value_or("clean"));
@@ -388,6 +389,44 @@ TEST(TransportParserTest, BadCrcLatchesCorrupt) {
   EXPECT_TRUE(parser.corrupt());
 }
 
+TEST(TransportParserTest, ReassemblesStatusFramesFedByteByByte) {
+  WorkerRecord a;
+  a.kind = WorkerRecordKind::kHeartbeat;
+  a.worker = 1;
+  WorkerRecord b;
+  b.kind = WorkerRecordKind::kTrialDone;
+  b.worker = 1;
+  b.trial_index = 5;
+  b.seed = 99;
+  b.attempt = 1;
+  auto stream = encode_worker_record(a);
+  const auto frame_b = encode_worker_record(b);
+  stream.insert(stream.end(), frame_b.begin(), frame_b.end());
+
+  TransportParser parser;
+  std::vector<WorkerRecord> records;
+  for (const std::uint8_t byte : stream) {
+    parser.feed(&byte, 1);
+    while (auto frame = parser.next()) records.push_back(frame->record);
+  }
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].kind, WorkerRecordKind::kHeartbeat);
+  EXPECT_EQ(records[1].kind, WorkerRecordKind::kTrialDone);
+  EXPECT_EQ(records[1].trial_index, 5u);
+  EXPECT_FALSE(parser.corrupt());
+}
+
+TEST(TransportParserTest, PartialFrameIsNotCorruptJustIncomplete) {
+  const auto frame = encode_worker_record(WorkerRecord{});
+  TransportParser parser;
+  parser.feed(frame.data(), frame.size() - 3);
+  EXPECT_FALSE(parser.next().has_value());
+  EXPECT_FALSE(parser.corrupt());  // a torn tail, pending more bytes
+  parser.feed(frame.data() + frame.size() - 3, 3);
+  EXPECT_TRUE(parser.next().has_value());
+  EXPECT_FALSE(parser.corrupt());
+}
+
 TEST(TransportParserTest, DuplicatedFrameIsTwoValidFrames) {
   // Duplication is NOT a framing error — dedup is the coordinator's
   // (index, seed) last-wins rule, not the parser's.
@@ -413,7 +452,7 @@ TEST(TransportParserTest, OversizedLengthLatchesCorruptInsteadOfBuffering) {
   EXPECT_TRUE(parser.corrupt());
 }
 
-// ---- mutation fuzz over both stream parsers ---------------------------
+// ---- mutation fuzz over the stream parser -----------------------------
 
 namespace {
 
@@ -452,28 +491,21 @@ std::vector<std::uint8_t> fuzz_corpus() {
   return stream;
 }
 
-/// Feeds `stream` to both parsers in random chunks. The only demands:
+/// Feeds `stream` to the parser in random chunks. The only demands:
 /// no crash, no OOB (ASan's job), no unbounded frame production, and a
 /// latched parser stays latched.
-void exercise_parsers(const std::vector<std::uint8_t>& stream, Lcg& rng) {
+void exercise_parser(const std::vector<std::uint8_t>& stream, Lcg& rng) {
   TransportParser transport;
-  WorkerPipeParser pipe;
   std::size_t frames = 0;
   std::size_t at = 0;
   while (at < stream.size()) {
     const std::size_t chunk =
         std::min(stream.size() - at, rng.below(97) + 1);
     transport.feed(stream.data() + at, chunk);
-    pipe.feed(stream.data() + at, chunk);
     at += chunk;
-    bool was_corrupt = transport.corrupt();
+    const bool was_corrupt = transport.corrupt();
     while (auto f = transport.next()) {
       ASSERT_FALSE(was_corrupt) << "frame produced after corrupt latch";
-      ++frames;
-    }
-    was_corrupt = pipe.corrupt();
-    while (auto r = pipe.next()) {
-      ASSERT_FALSE(was_corrupt) << "record produced after corrupt latch";
       ++frames;
     }
     ASSERT_LE(frames, 4 * stream.size());
@@ -530,7 +562,7 @@ TEST(TransportFuzzTest, MutatedStreamsNeverCrashOrOverread) {
         break;
       }
     }
-    exercise_parsers(mutated, rng);
+    exercise_parser(mutated, rng);
   }
 }
 

@@ -33,6 +33,7 @@
 #include "runner/campaign.hpp"
 #include "runner/status.hpp"
 #include "runner/supervisor.hpp"
+#include "runner/transport.hpp"
 #include "runner/worker.hpp"
 #include "sim/rng.hpp"
 #include "sim/telemetry.hpp"
@@ -492,25 +493,23 @@ TEST(StatusCodecTest, TruncatesOverlongStringsAtEncode) {
 }
 
 TEST(StatusCodecTest, RidesTheWorkerPipeFrame) {
-  // The full path a worker snapshot travels: status codec -> FW kStatus
-  // record -> CRC-framed pipe -> parser -> status codec.
+  // The full path a worker's or host's live view travels: status codec
+  // -> FT kStatus control frame -> CRC-framed socket -> TransportParser
+  // -> status codec.
   const StatusSnapshot snap = sample_snapshot();
-  const auto bytes = encode_status_snapshot(snap);
-  WorkerRecord rec;
-  rec.kind = WorkerRecordKind::kStatus;
-  rec.worker = 3;
-  rec.what.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  const auto frame = encode_worker_record(rec);
+  ControlMessage message;
+  message.kind = ControlKind::kStatus;
+  message.text = status_payload(snap);
+  const auto frame = encode_control_message(message);
 
-  WorkerPipeParser parser;
+  TransportParser parser;
   parser.feed(frame.data(), frame.size());
   const auto out = parser.next();
   ASSERT_TRUE(out.has_value());
   EXPECT_FALSE(parser.corrupt());
-  ASSERT_EQ(out->kind, WorkerRecordKind::kStatus);
-  const auto decoded = decode_status_snapshot(std::span{
-      reinterpret_cast<const std::uint8_t*>(out->what.data()),
-      out->what.size()});
+  ASSERT_EQ(out->type, TransportFrame::Type::kControl);
+  ASSERT_EQ(out->control.kind, ControlKind::kStatus);
+  const auto decoded = decode_status_snapshot(out->control.text);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->seq, snap.seq);
   EXPECT_EQ(decoded->done, snap.done);
@@ -1038,7 +1037,7 @@ TEST(MultiprocessStatusTest, CleanCampaignStreamsMonotonicStatus) {
       EXPECT_EQ(src.kind, StatusSource::Kind::kWorker);
       EXPECT_EQ(src.name.front(), 'w');
     }
-    // Worker registries crossed the pipe and merged: every settle's
+    // Worker registries crossed the socket and merged: every settle's
     // wall time landed in the campaign-wide histogram.
     const auto* wall = find_hist(last, "runner", "trial_wall_ms");
     ASSERT_NE(wall, nullptr);

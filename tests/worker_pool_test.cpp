@@ -1,9 +1,10 @@
 // Tests of the multi-process campaign pool (runner/worker.hpp): the
-// pipe protocol codec and incremental parser, index-span formatting,
-// flight-recorder snapshots, journal-shard merge semantics, Backoff
-// determinism, the --workers CLI surface, and end-to-end coordinator
-// runs against workers that deliberately SIGSEGV, OOM, hang, exit
-// nonzero, freeze, and corrupt their pipe mid-record.
+// status-record codec, index-span formatting, flight-recorder
+// snapshots, legacy journal-shard merge semantics, Backoff determinism,
+// the --workers CLI surface, end-to-end coordinator runs against
+// workers that deliberately SIGSEGV, OOM, hang, exit nonzero, freeze,
+// and corrupt their socket mid-record, and a worker's own exit when its
+// coordinator disappears.
 //
 // This binary self-execs as its own workers: main() checks for the
 // hidden --worker-fd flag and, when present, rebuilds the trial list
@@ -11,9 +12,13 @@
 // run_trial override instead of running gtest.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -30,6 +35,7 @@
 #include "runner/describe.hpp"
 #include "runner/journal.hpp"
 #include "runner/supervisor.hpp"
+#include "runner/transport.hpp"
 #include "runner/worker.hpp"
 #include "sim/rng.hpp"
 #include "sim/telemetry.hpp"
@@ -109,12 +115,15 @@ void oom_alloc() noexcept {
 /// scenario misbehaves in the requested way; everything else returns
 /// the synthetic result.
 std::function<ExperimentResult(const ExperimentConfig&)> scenario_run_trial(
-    Scenario scenario, int pipe_fd) {
-  return [scenario, pipe_fd](const ExperimentConfig& config) {
+    Scenario scenario, int session_fd) {
+  return [scenario, session_fd](const ExperimentConfig& config) {
     // Full-stack scenario: run an actual simulation rebuilt from the
     // seed instead of returning synthetic bytes.
     if (scenario.kind == "real") {
       return run_experiment(real_trial(config.seed));
+    }
+    if (scenario.kind == "slow") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
     }
     // run_supervised stamps trace_trial with the trial index whenever
     // flight_flush_base is set — which the worker path always does.
@@ -150,14 +159,14 @@ std::function<ExperimentResult(const ExperimentConfig&)> scenario_run_trial(
         const std::uint8_t junk[16] = {0xAA, 0xBB, 0xCC, 0xDD, 0xAA, 0xBB,
                                        0xCC, 0xDD, 0xAA, 0xBB, 0xCC, 0xDD,
                                        0xAA, 0xBB, 0xCC, 0xDD};
-        const ssize_t ignored = ::write(pipe_fd, junk, sizeof junk);
+        const ssize_t ignored = ::write(session_fd, junk, sizeof junk);
         (void)ignored;
         std::this_thread::sleep_for(std::chrono::seconds(10));
       } else if (scenario.kind == "tornkill") {
         WorkerRecord rec;
         rec.kind = WorkerRecordKind::kHeartbeat;
         const auto frame = encode_worker_record(rec);
-        const ssize_t ignored = ::write(pipe_fd, frame.data(), 8);
+        const ssize_t ignored = ::write(session_fd, frame.data(), 8);
         (void)ignored;
         ::raise(SIGKILL);
       } else if (scenario.kind == "oom") {
@@ -242,7 +251,7 @@ CampaignReport reference_report(std::size_t n, std::uint64_t base) {
   return run_supervised(scenario_trials(n, base), options);
 }
 
-// ---- pipe protocol codec ----------------------------------------------
+// ---- status-record codec ----------------------------------------------
 
 TEST(WorkerRecordCodecTest, RoundTripsEveryField) {
   WorkerRecord rec;
@@ -266,11 +275,13 @@ TEST(WorkerRecordCodecTest, RoundTripsEveryField) {
   rec.flight[1].kind = sim::EventKind::kDataDrop;
 
   const auto frame = encode_worker_record(rec);
-  WorkerPipeParser parser;
+  TransportParser parser;
   parser.feed(frame.data(), frame.size());
-  const auto out = parser.next();
-  ASSERT_TRUE(out.has_value());
+  const auto parsed = parser.next();
+  ASSERT_TRUE(parsed.has_value());
   EXPECT_FALSE(parser.corrupt());
+  ASSERT_EQ(parsed->type, TransportFrame::Type::kStatus);
+  const WorkerRecord* out = &parsed->record;
   EXPECT_EQ(out->kind, WorkerRecordKind::kTrialFailed);
   EXPECT_EQ(out->worker, 7u);
   EXPECT_EQ(out->trial_index, 42u);
@@ -289,35 +300,10 @@ TEST(WorkerRecordCodecTest, RoundTripsEveryField) {
   EXPECT_EQ(out->flight[1].kind, sim::EventKind::kDataDrop);
 }
 
-TEST(WorkerPipeParserTest, ReassemblesRecordsFedByteByByte) {
-  WorkerRecord a;
-  a.kind = WorkerRecordKind::kHeartbeat;
-  a.worker = 1;
-  WorkerRecord b;
-  b.kind = WorkerRecordKind::kTrialDone;
-  b.worker = 1;
-  b.trial_index = 5;
-  b.seed = 99;
-  b.attempt = 1;
-  auto stream = encode_worker_record(a);
-  const auto frame_b = encode_worker_record(b);
-  stream.insert(stream.end(), frame_b.begin(), frame_b.end());
-
-  WorkerPipeParser parser;
-  std::vector<WorkerRecord> records;
-  for (const std::uint8_t byte : stream) {
-    parser.feed(&byte, 1);
-    while (auto rec = parser.next()) records.push_back(*rec);
-  }
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].kind, WorkerRecordKind::kHeartbeat);
-  EXPECT_EQ(records[1].kind, WorkerRecordKind::kTrialDone);
-  EXPECT_EQ(records[1].trial_index, 5u);
-  EXPECT_FALSE(parser.corrupt());
-}
+// ---- the worker pipe as TransportParser reads it ----------------------
 
 TEST(WorkerPipeParserTest, BadMagicLatchesCorrupt) {
-  WorkerPipeParser parser;
+  TransportParser parser;
   const std::uint8_t junk[8] = {0xAA, 0xBB, 0, 0, 0, 0, 0, 0};
   parser.feed(junk, sizeof junk);
   EXPECT_FALSE(parser.next().has_value());
@@ -336,19 +322,10 @@ TEST(WorkerPipeParserTest, FlippedPayloadByteFailsCrc) {
   rec.trial_index = 3;
   auto frame = encode_worker_record(rec);
   frame[10] ^= 0x01;  // inside the payload
-  WorkerPipeParser parser;
+  TransportParser parser;
   parser.feed(frame.data(), frame.size());
   EXPECT_FALSE(parser.next().has_value());
   EXPECT_TRUE(parser.corrupt());
-}
-
-TEST(WorkerPipeParserTest, PartialFrameIsNotCorruptJustIncomplete) {
-  WorkerRecord rec;
-  const auto frame = encode_worker_record(rec);
-  WorkerPipeParser parser;
-  parser.feed(frame.data(), frame.size() - 3);
-  EXPECT_FALSE(parser.next().has_value());
-  EXPECT_FALSE(parser.corrupt());  // a torn tail, pending more bytes
 }
 
 // ---- index spans ------------------------------------------------------
@@ -598,23 +575,21 @@ std::vector<char*> make_argv(std::vector<std::string>& args) {
 
 TEST(WorkersCliTest, ParsesWorkersAndHiddenWorkerFlags) {
   std::vector<std::string> args = {
-      "bench",          "--workers",       "4",
-      "--worker-fd",    "7",               "--worker-id",
-      "2",              "--worker-shard",  "/tmp/x.w2.journal",
-      "--worker-trials","0-3,8",           "--threads",
-      "3"};
+      "bench",           "--workers",       "4",
+      "--worker-fd",     "7",               "--worker-flight",
+      "/tmp/x.w2",       "--worker-heartbeat-ms", "40",
+      "--threads",       "3"};
   auto argv = make_argv(args);
   int argc = static_cast<int>(argv.size());
   const auto cli = consume_campaign_cli(argc, argv.data());
   EXPECT_EQ(cli.workers, 4u);
   EXPECT_EQ(cli.worker_fd, 7);
-  EXPECT_EQ(cli.worker_id, 2u);
-  EXPECT_EQ(cli.worker_shard, "/tmp/x.w2.journal");
-  EXPECT_EQ(cli.worker_trials, "0-3,8");
+  EXPECT_EQ(cli.worker_flight, "/tmp/x.w2");
+  EXPECT_EQ(cli.worker_heartbeat_ms, 40u);
   EXPECT_EQ(cli.threads, 3u);
   EXPECT_EQ(argc, 1);  // everything consumed
   // exec_argv snapshots the ORIGINAL command line, pre-stripping.
-  ASSERT_EQ(cli.exec_argv.size(), 13u);
+  ASSERT_EQ(cli.exec_argv.size(), 11u);
   EXPECT_EQ(cli.exec_argv[0], "bench");
   EXPECT_EQ(cli.exec_argv[1], "--workers");
 }
@@ -864,6 +839,87 @@ TEST(MultiprocessTest, ResumesFromShardsCompactsAndRejectsForeignSeeds) {
     expect_identical(again.results[i], synthetic_result(base + i));
   }
   std::remove(stem.c_str());
+}
+
+TEST(MultiprocessTest, ShutdownWakesTheWorkerAndReapsIt) {
+  // A worker heartbeating every 2 s must still exit the moment the
+  // campaign is settled: shutdown wakes its heartbeat thread instead of
+  // waiting out the sleep. And every worker is reaped before return.
+  const auto trials = scenario_trials(2, 1300);
+  auto mp = mp_options("clean", 2, 1300, 1);
+  mp.heartbeat_interval_ms = 2000;
+  mp.exec_argv.insert(mp.exec_argv.end(), {"--status-interval-ms", "2000"});
+  const auto started = std::chrono::steady_clock::now();
+  const auto report = run_multiprocess(trials, mp);
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  EXPECT_TRUE(report.all_completed());
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);  // no child left
+  EXPECT_EQ(errno, ECHILD);
+}
+
+TEST(WorkerAgentTest, ExitsWhenTheCoordinatorHangsUpMidLease) {
+  // A worker whose coordinator is gone must not finish its lease as an
+  // orphan: it exits at its next write (the heartbeat), mid-trial.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+  std::vector<std::string> args = {
+      "/proc/self/exe", "--mp-scenario", "slow", "--mp-trials", "10",
+      "--mp-seed",      "1",             "--threads", "1",
+      "--worker-fd",    std::to_string(fds[1])};
+  std::vector<char*> argp;
+  for (auto& arg : args) argp.push_back(arg.data());
+  argp.push_back(nullptr);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::fcntl(fds[1], F_SETFD, 0);
+    ::execv(argp[0], argp.data());
+    ::_exit(127);
+  }
+  ::close(fds[1]);
+
+  // Grant all ten 300 ms trials, then hang up once the first starts.
+  ControlMessage grant;
+  grant.kind = ControlKind::kLeaseGrant;
+  grant.lease = 1;
+  grant.text = "0-9";
+  const auto frame = encode_control_message(grant);
+  ASSERT_TRUE(write_all_fd(fds[0], frame.data(), frame.size()));
+  TransportParser parser;
+  bool started = false;
+  while (!started) {
+    std::uint8_t buf[4096];
+    const ssize_t n = ::read(fds[0], buf, sizeof buf);
+    ASSERT_GT(n, 0);
+    parser.feed(buf, static_cast<std::size_t>(n));
+    while (auto f = parser.next()) {
+      started = started || (f->type == TransportFrame::Type::kStatus &&
+                            f->record.kind == WorkerRecordKind::kTrialStart);
+    }
+  }
+  ::close(fds[0]);
+
+  const auto hung_up = std::chrono::steady_clock::now();
+  int status = 0;
+  pid_t reaped = 0;
+  while (reaped == 0 && std::chrono::steady_clock::now() - hung_up <
+                            std::chrono::seconds(3)) {
+    reaped = ::waitpid(pid, &status, WNOHANG);
+    if (reaped == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  const auto lived = std::chrono::steady_clock::now() - hung_up;
+  if (reaped == 0) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+  }
+  ASSERT_EQ(reaped, pid) << "worker outlived its coordinator by 3 s";
+  EXPECT_TRUE(WIFEXITED(status));
+  // Nowhere near the 2.7 s of lease left; the slack over one heartbeat
+  // is for sanitizer runtimes, whose exit can linger a second (TSan).
+  EXPECT_LT(lived, std::chrono::milliseconds(1500));
 }
 
 }  // namespace
