@@ -10,11 +10,6 @@
 
 namespace fourbit::phy {
 
-namespace {
-// Sentinel for a batched PRR miss with no memo slot to write back into.
-constexpr std::size_t kNoMemoSlot = static_cast<std::size_t>(-1);
-}  // namespace
-
 Channel::Channel(sim::Simulator& sim, PhyConfig phy, PropagationConfig prop,
                  std::unique_ptr<InterferenceModel> interference,
                  sim::Rng rng)
@@ -162,8 +157,7 @@ void Channel::rebuild_cache() {
     // The dense matrices stay empty: O(N·degree), not O(N²).
     gain_dbm_ = {};
     gain_mw_ = {};
-    prr_bytes_ = {};
-    prr_val_ = {};
+    prr_memo_ = {};
     candidates_ = {};
     cca_audible_ = {};
     cca_words_ = 0;
@@ -181,8 +175,7 @@ void Channel::rebuild_cache() {
     candidates_.assign(n_, {});
     cca_words_ = (n_ + 63) / 64;
     cca_audible_.assign(n_ * cca_words_, 0);
-    prr_bytes_.assign(n_ * n_, 0);
-    prr_val_.assign(n_ * n_, 0.0);
+    prr_memo_.assign(n_ * n_, PrrMemo{});
     for (std::size_t s = 0; s < n_; ++s) rebuild_row(s);
   }
 
@@ -208,7 +201,7 @@ void Channel::rebuild_row(std::size_t s) {
   std::uint64_t* cca_row = &cca_audible_[s * cca_words_];
   std::fill(cca_row, cca_row + cca_words_, 0);
   // New gains invalidate the row's memoized PRRs.
-  std::fill(&prr_bytes_[s * n_], &prr_bytes_[s * n_] + n_, 0);
+  std::fill(&prr_memo_[s * n_], &prr_memo_[s * n_] + n_, PrrMemo{});
   cands.clear();
   if (sender_p == nullptr) return;  // tombstoned slot: empty row
   Radio& sender = *sender_p;
@@ -403,6 +396,19 @@ Channel::SparseLink* Channel::find_link(std::size_t sender,
       std::as_const(*this).find_link(sender, receiver));
 }
 
+Channel::PrrMemo* Channel::prr_memo(const ActiveTx& tx,
+                                    const PendingRx& rx) {
+  if (!tx.cached) return nullptr;
+  if (sparse_mode_) {
+    SparseLink* link = find_link(tx.sender_index, rx.receiver_index);
+    return link != nullptr && link->gain_dbm == rx.rx_power.value()
+               ? &link->prr
+               : nullptr;
+  }
+  const std::size_t pi = tx.sender_index * n_ + rx.receiver_index;
+  return gain_dbm_[pi] == rx.rx_power.value() ? &prr_memo_[pi] : nullptr;
+}
+
 void Channel::repair_reused_slot(std::size_t slot) {
   FOURBIT_ASSERT(slot < n_, "slot reuse beyond the frozen cache");
   Radio& radio = *radios_[slot];
@@ -447,7 +453,7 @@ void Channel::repair_reused_slot(std::size_t slot) {
     const PowerDbm p = rx_power_uncached(*radios_[s], radio);
     gain_dbm_[s * n_ + slot] = p.value();
     gain_mw_[s * n_ + slot] = p.milliwatts();
-    prr_bytes_[s * n_ + slot] = 0;
+    prr_memo_[s * n_ + slot] = PrrMemo{};
     auto& cands = candidates_[s];
     const auto it = std::lower_bound(cands.begin(), cands.end(),
                                      static_cast<std::uint32_t>(slot));
@@ -617,46 +623,40 @@ void Channel::start_transmission(Radio& sender,
   tx->fcs_verified = fcs_valid(tx->frame);
 
   // Enumerate candidate receivers and seed their interference with the
-  // transmissions already in the air. Both cached paths visit the
-  // sender's precomputed candidates in slot (attach) order — the same
-  // receivers, in the same order, as the slow path's full scan — so RNG
-  // draws line up bitwise; a detached-but-alive sender has no cache row
-  // and falls back to the slow scan.
-  if (tx->cached && phy_.use_batch_kernels) {
-    // Batch kernels: pass 1 gathers the live candidates into contiguous
-    // scratch arrays (same candidates, same slot order as the scalar
-    // branches below); pass 2 accumulates interference with the loops
-    // interchanged — outer over active transmissions, inner over the
-    // gathered receivers — so each receiver's accumulator still adds
-    // the exact same terms in the exact same (active-set) order and
-    // every double matches the scalar path bitwise, while the dense
-    // inner loop is a fixed-order walk over two flat arrays.
+  // transmissions already in the air. A cached sender's precomputed
+  // candidates (dense or sparse row) are visited in slot (attach) order
+  // — the same receivers, in the same order, as the slow path's full
+  // scan — so RNG draws line up bitwise; a detached-but-alive sender has
+  // no cache row and falls back to the slow scan.
+  if (tx->cached) {
+    // Pass 1 gathers the live candidates into contiguous scratch arrays;
+    // pass 2 accumulates interference with the loops interchanged —
+    // outer over active transmissions, inner over the gathered receivers
+    // — so each receiver's accumulator adds the same terms in the same
+    // (active-set) order as the slow path's per-receiver sum, while the
+    // dense inner loop is a fixed-order walk over two flat arrays.
     scratch_rx_.clear();
     scratch_slot_.clear();
     scratch_gain_dbm_.clear();
+    auto gather = [&](std::uint32_t ri, double gain_dbm) {
+      Radio* r = radios_[ri];
+      if (r == nullptr) return;  // tombstoned slot: receiver is gone
+      // A sleeping receiver (LPL between channel samples) hears nothing.
+      if (!r->listening()) return;
+      // Half-duplex: a radio mid-transmission cannot hear this packet.
+      if (r->transmitting_until() > now) return;
+      scratch_rx_.push_back(r);
+      scratch_slot_.push_back(ri);
+      scratch_gain_dbm_.push_back(gain_dbm);
+    };
     if (sparse_mode_) {
       for (const SparseLink& link : sparse_rows_[tx->sender_index]) {
-        if (!link.candidate) continue;
-        Radio* r = radios_[link.receiver];
-        if (r == nullptr) continue;  // tombstoned slot: receiver is gone
-        // A sleeping receiver (LPL between samples) hears nothing.
-        if (!r->listening()) continue;
-        // Half-duplex: a radio mid-transmission cannot hear this packet.
-        if (r->transmitting_until() > now) continue;
-        scratch_rx_.push_back(r);
-        scratch_slot_.push_back(link.receiver);
-        scratch_gain_dbm_.push_back(link.gain_dbm);
+        if (link.candidate) gather(link.receiver, link.gain_dbm);
       }
     } else {
       const double* row_dbm = &gain_dbm_[tx->sender_index * n_];
       for (const std::uint32_t ri : candidates_[tx->sender_index]) {
-        Radio* r = radios_[ri];
-        if (r == nullptr) continue;
-        if (!r->listening()) continue;
-        if (r->transmitting_until() > now) continue;
-        scratch_rx_.push_back(r);
-        scratch_slot_.push_back(ri);
-        scratch_gain_dbm_.push_back(row_dbm[ri]);
+        gather(ri, row_dbm[ri]);
       }
     }
     const std::size_t m = scratch_rx_.size();
@@ -682,41 +682,6 @@ void Channel::start_transmission(Radio& sender,
       tx->receivers.push_back(PendingRx{scratch_rx_[i], scratch_slot_[i],
                                         PowerDbm{scratch_gain_dbm_[i]},
                                         scratch_interf_[i]});
-    }
-  } else if (tx->cached && sparse_mode_) {
-    for (const SparseLink& link : sparse_rows_[tx->sender_index]) {
-      if (!link.candidate) continue;
-      Radio* r = radios_[link.receiver];
-      if (r == nullptr) continue;  // tombstoned slot: receiver is gone
-      // A sleeping receiver (LPL between channel samples) hears nothing.
-      if (!r->listening()) continue;
-      // Half-duplex: a radio mid-transmission cannot hear this packet.
-      if (r->transmitting_until() > now) continue;
-
-      double interference_mw = 0.0;
-      for (const ActiveTx* other : active_) {
-        if (other->sender == nullptr || other->end <= now) continue;
-        interference_mw += interference_term(*other, link.receiver, *r);
-      }
-      tx->receivers.push_back(PendingRx{r, link.receiver,
-                                        PowerDbm{link.gain_dbm},
-                                        interference_mw});
-    }
-  } else if (tx->cached) {
-    const double* row_dbm = &gain_dbm_[tx->sender_index * n_];
-    for (const std::uint32_t ri : candidates_[tx->sender_index]) {
-      Radio* r = radios_[ri];
-      if (r == nullptr) continue;  // tombstoned slot: receiver is gone
-      if (!r->listening()) continue;
-      if (r->transmitting_until() > now) continue;
-
-      double interference_mw = 0.0;
-      for (const ActiveTx* other : active_) {
-        if (other->sender == nullptr || other->end <= now) continue;
-        interference_mw += interference_term(*other, ri, *r);
-      }
-      tx->receivers.push_back(
-          PendingRx{r, ri, PowerDbm{row_dbm[ri]}, interference_mw});
     }
   } else {
     for (Radio* r : radios_) {
@@ -744,11 +709,11 @@ void Channel::start_transmission(Radio& sender,
   // This transmission interferes with every reception already in flight:
   // the per-receiver accumulators are maintained incrementally, never
   // rescanned.
-  if (phy_.use_batch_kernels && tx->cached && !sparse_mode_) {
-    // Batch back-substitution: the new sender's dense row holds every
-    // term this pass can produce, so hoist the row base and add
-    // straight from it — the same doubles, the same (other, receiver)
-    // nesting order, minus the per-pair dispatch the scalar loop pays.
+  if (tx->cached && !sparse_mode_) {
+    // The new sender's dense row holds every term this pass can
+    // produce, so hoist the row base and add straight from it — the
+    // same doubles, in the same (other, receiver) order, as the
+    // per-pair interference_term loop below.
     const double* row_mw = &gain_mw_[tx->sender_index * n_];
     for (ActiveTx* other : active_) {
       if (other->end <= now) continue;
@@ -829,76 +794,56 @@ void Channel::finish_transmission(ActiveTx* tx) {
   const std::size_t frame_bytes = tx->frame.size() + phy_.phy_overhead_bytes;
 
   // While the cache is frozen, every pending receiver_index is a live
-  // slot (rebuild_cache remaps in-flight receptions), so the delivery
-  // loop can read the precomputed noise terms instead of re-deriving
-  // them per reception.
+  // slot (rebuild_cache remaps in-flight receptions), so pass A can read
+  // the precomputed noise terms instead of re-deriving them.
   const bool cached_noise = phy_.use_link_cache && cache_valid_;
 
-  if (phy_.use_batch_kernels && cached_noise) {
-    // Batch delivery: pass A computes every receiver's SINR and PRR
-    // into contiguous scratch arrays (memo hits served in place, the
-    // misses funneled through Modulation::prr_batch in row order); pass
-    // B then replays the exact scalar control flow — half-duplex check,
-    // fault draw, reception draw, burst draw, corrupt delivery, LQI —
-    // consuming the precomputed values. PRR evaluation draws no RNG and
-    // distinct receivers own distinct memo slots, so hoisting it out of
-    // the sequential loop (including for receivers pass B skips) leaves
-    // every random draw and every delivered byte bitwise unchanged.
-    const std::size_t m = tx->receivers.size();
-    scratch_sinr_.resize(m);
-    scratch_prr_.resize(m);
-    scratch_miss_.clear();
-    scratch_miss_sinr_.clear();
-    scratch_miss_pi_.clear();
-    scratch_miss_link_.clear();
-    for (std::size_t i = 0; i < m; ++i) {
-      const PendingRx& rx = tx->receivers[i];
-      if (rx.interference_mw == 0.0) {
-        const double sinr_db =
-            rx.rx_power.value() - noise_dbm_[rx.receiver_index];
-        scratch_sinr_[i] = sinr_db;
-        if (sparse_mode_) {
-          SparseLink* link =
-              tx->cached ? find_link(tx->sender_index, rx.receiver_index)
-                         : nullptr;
-          if (link != nullptr && link->gain_dbm == rx.rx_power.value()) {
-            if (link->prr_bytes == frame_bytes) {
-              scratch_prr_[i] = link->prr_val;
-              continue;
-            }
-            scratch_miss_link_.push_back(link);  // memoize after the batch
-          } else {
-            scratch_miss_link_.push_back(nullptr);
-          }
-        } else {
-          const std::size_t pi =
-              tx->cached ? tx->sender_index * n_ + rx.receiver_index : 0;
-          if (tx->cached && gain_dbm_[pi] == rx.rx_power.value()) {
-            if (prr_bytes_[pi] == frame_bytes) {
-              scratch_prr_[i] = prr_val_[pi];
-              continue;
-            }
-            scratch_miss_pi_.push_back(pi);  // memoize after the batch
-          } else {
-            scratch_miss_pi_.push_back(kNoMemoSlot);
-          }
-        }
-      } else {
-        scratch_sinr_[i] =
-            rx.rx_power.value() -
-            PowerDbm::from_milliwatts(noise_mw_[rx.receiver_index] +
-                                      rx.interference_mw)
-                .value();
-        if (sparse_mode_) {
-          scratch_miss_link_.push_back(nullptr);
-        } else {
-          scratch_miss_pi_.push_back(kNoMemoSlot);
-        }
-      }
-      scratch_miss_.push_back(static_cast<std::uint32_t>(i));
-      scratch_miss_sinr_.push_back(scratch_sinr_[i]);
+  // Pass A: every receiver's SINR and PRR, into contiguous scratch
+  // arrays. With a frozen cache, interference-free receptions are served
+  // from the per-pair PRR memo and the misses funneled through
+  // Modulation::prr_batch in row order. Without one — the slow path, or
+  // a cache invalidated while this frame was in the air — each receiver
+  // uses its radio's own noise floor and the scalar PRR, the oracle's
+  // arithmetic. Pass A draws no RNG, and a delivery handler in pass B
+  // cannot touch this frame's receivers (the frame has left active_), so
+  // evaluating every PRR up front — including for receivers pass B
+  // skips — leaves every random draw and delivered byte unchanged.
+  const std::size_t m = tx->receivers.size();
+  scratch_sinr_.resize(m);
+  scratch_prr_.resize(m);
+  scratch_miss_.clear();
+  scratch_miss_sinr_.clear();
+  for (std::size_t i = 0; i < m; ++i) {
+    const PendingRx& rx = tx->receivers[i];
+    if (!cached_noise) {
+      scratch_sinr_[i] =
+          rx.rx_power.value() -
+          PowerDbm::from_milliwatts(rx.receiver->noise_floor().milliwatts() +
+                                    rx.interference_mw)
+              .value();
+      scratch_prr_[i] =
+          modulation_.packet_reception_ratio(scratch_sinr_[i], frame_bytes);
+      continue;
     }
-
+    PrrMemo* memo = nullptr;
+    if (rx.interference_mw == 0.0) {
+      scratch_sinr_[i] = rx.rx_power.value() - noise_dbm_[rx.receiver_index];
+      memo = prr_memo(*tx, rx);
+      if (memo != nullptr && memo->bytes == frame_bytes) {
+        scratch_prr_[i] = memo->val;
+        continue;
+      }
+    } else {
+      scratch_sinr_[i] =
+          rx.rx_power.value() -
+          PowerDbm::from_milliwatts(noise_mw_[rx.receiver_index] +
+                                    rx.interference_mw)
+              .value();
+    }
+    scratch_miss_.push_back(PrrMiss{static_cast<std::uint32_t>(i), memo});
+    scratch_miss_sinr_.push_back(scratch_sinr_[i]);
+  }
+  if (cached_noise) {  // the slow path never reaches the batch kernel
     scratch_miss_prr_.resize(scratch_miss_.size());
     {
       sim::PhaseTimer kernel_timer{sim_.telemetry(),
@@ -907,63 +852,18 @@ void Channel::finish_transmission(ActiveTx* tx) {
                             scratch_miss_prr_);
     }
     for (std::size_t j = 0; j < scratch_miss_.size(); ++j) {
-      const double prr = scratch_miss_prr_[j];
-      scratch_prr_[scratch_miss_[j]] = prr;
-      if (sparse_mode_) {
-        if (SparseLink* link = scratch_miss_link_[j]) {
-          link->prr_bytes = static_cast<std::uint32_t>(frame_bytes);
-          link->prr_val = prr;
-        }
-      } else if (scratch_miss_pi_[j] != kNoMemoSlot) {
-        prr_bytes_[scratch_miss_pi_[j]] =
-            static_cast<std::uint32_t>(frame_bytes);
-        prr_val_[scratch_miss_pi_[j]] = prr;
+      const PrrMiss& miss = scratch_miss_[j];
+      scratch_prr_[miss.row] = scratch_miss_prr_[j];
+      if (miss.memo != nullptr) {
+        *miss.memo = PrrMemo{scratch_miss_prr_[j],
+                             static_cast<std::uint32_t>(frame_bytes)};
       }
     }
-
-    for (std::size_t i = 0; i < m; ++i) {
-      const PendingRx& rx = tx->receivers[i];
-      Radio& r = *rx.receiver;
-      if (r.transmitting_until() > tx->start) continue;
-
-      if (!link_faults_.empty()) {
-        const auto fault =
-            link_faults_.find(link_key(tx->sender->id(), r.id()));
-        if (fault != link_faults_.end() &&
-            reception_rng_.bernoulli(fault->second)) {
-          continue;
-        }
-      }
-
-      const double sinr_db = scratch_sinr_[i];
-      if (!reception_rng_.bernoulli(scratch_prr_[i])) {
-        deliver_corrupt(r, *tx, rx, sinr_db);
-        continue;
-      }
-
-      const double burst =
-          interference_->destroy_probability(r.id(), tx->start, tx->end);
-      if (burst > 0.0 && reception_rng_.bernoulli(burst)) {
-        deliver_corrupt(r, *tx, rx, sinr_db);
-        continue;
-      }
-
-      const double snr_thermal = (rx.rx_power - r.noise_floor()).value();
-      RxInfo info;
-      info.rssi = rx.rx_power;
-      info.snr_db = snr_thermal;
-      info.lqi = LqiModel::sample(snr_thermal, lqi_rng_);
-      info.white = white_bit(info);
-      info.fcs_ok = true;
-      info.fcs_verified = tx->fcs_verified;
-      r.deliver(tx->frame, info);
-    }
-
-    release_tx(tx);
-    return;
   }
 
-  for (const PendingRx& rx : tx->receivers) {
+  // Pass B: the only code that draws reception RNG and delivers.
+  for (std::size_t i = 0; i < m; ++i) {
+    const PendingRx& rx = tx->receivers[i];
     Radio& r = *rx.receiver;
     // The receiver may have begun transmitting after this packet started
     // (its CSMA lost the race); half-duplex kills the reception.
@@ -980,54 +880,8 @@ void Channel::finish_transmission(ActiveTx* tx) {
       }
     }
 
-    double sinr_db;
-    double prr;
-    if (cached_noise && rx.interference_mw == 0.0) {
-      sinr_db = rx.rx_power.value() - noise_dbm_[rx.receiver_index];
-      // Interference-free PRR is a pure function of (pair gain, frame
-      // size) — served from the per-pair memo when the sender has a
-      // cache row and the row still holds the gain this reception was
-      // computed with (a mid-flight tx-power change re-derives the row,
-      // and in-flight frames keep their old power). Zeroed size = empty.
-      if (sparse_mode_) {
-        SparseLink* link =
-            tx->cached ? find_link(tx->sender_index, rx.receiver_index)
-                       : nullptr;
-        if (link != nullptr && link->gain_dbm == rx.rx_power.value()) {
-          if (link->prr_bytes == frame_bytes) {
-            prr = link->prr_val;
-          } else {
-            prr = modulation_.packet_reception_ratio(sinr_db, frame_bytes);
-            link->prr_bytes = static_cast<std::uint32_t>(frame_bytes);
-            link->prr_val = prr;
-          }
-        } else {
-          prr = modulation_.packet_reception_ratio(sinr_db, frame_bytes);
-        }
-      } else {
-        const std::size_t pi =
-            tx->cached ? tx->sender_index * n_ + rx.receiver_index : 0;
-        if (tx->cached && gain_dbm_[pi] == rx.rx_power.value()) {
-          if (prr_bytes_[pi] == frame_bytes) {
-            prr = prr_val_[pi];
-          } else {
-            prr = modulation_.packet_reception_ratio(sinr_db, frame_bytes);
-            prr_bytes_[pi] = static_cast<std::uint32_t>(frame_bytes);
-            prr_val_[pi] = prr;
-          }
-        } else {
-          prr = modulation_.packet_reception_ratio(sinr_db, frame_bytes);
-        }
-      }
-    } else {
-      const double noise_mw = cached_noise ? noise_mw_[rx.receiver_index]
-                                           : r.noise_floor().milliwatts();
-      sinr_db =
-          rx.rx_power.value() -
-          PowerDbm::from_milliwatts(noise_mw + rx.interference_mw).value();
-      prr = modulation_.packet_reception_ratio(sinr_db, frame_bytes);
-    }
-    if (!reception_rng_.bernoulli(prr)) {
+    const double sinr_db = scratch_sinr_[i];
+    if (!reception_rng_.bernoulli(scratch_prr_[i])) {
       deliver_corrupt(r, *tx, rx, sinr_db);
       continue;
     }
@@ -1043,8 +897,7 @@ void Channel::finish_transmission(ActiveTx* tx) {
 
     // LQI reflects the thermal-only SNR of this (successfully received)
     // packet.
-    const double snr_thermal =
-        (rx.rx_power - r.noise_floor()).value();
+    const double snr_thermal = (rx.rx_power - r.noise_floor()).value();
     RxInfo info;
     info.rssi = rx.rx_power;
     info.snr_db = snr_thermal;

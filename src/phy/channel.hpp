@@ -11,28 +11,41 @@
 // is the physical effect the paper's white bit (and MultiHopLQI's
 // failure mode) hinges on.
 //
-// Two execution paths compute that model:
-//   * slow path — per-pair propagation-loss hash lookups, every radio
-//     scanned per transmission. The reference implementation.
-//   * fast path (PhyConfig::use_link_cache, default) — positions, tx
+// Three execution paths compute that model:
+//   * slow path (PhyConfig::use_link_cache off) — per-pair
+//     propagation-loss hash lookups, every radio scanned per
+//     transmission, each receiver's own noise floor and the scalar
+//     Modulation::packet_reception_ratio. The independent oracle: it
+//     touches none of the cached arrays or batch kernels.
+//   * dense cached path (use_link_cache, default) — positions, tx
 //     powers and shadowing are static per trial, so on topology freeze
 //     the channel precomputes a flat N x N rx-power matrix (dBm and
 //     milliwatts) plus per-sender culled neighbor lists: reception
 //     candidates (pairs above noise_floor + reception_cutoff_margin) and
-//     a CCA-audible bitset. start_transmission then iterates O(degree)
-//     and busy_at tests precomputed bits. The cached doubles are the
-//     exact values the slow path computes, and candidates are visited in
-//     the same order, so RNG draw sequences — and therefore all metrics —
-//     are bit-identical between paths (tests/channel_fastpath_test.cpp).
-//   * sparse fast path (PhyConfig::use_spatial_index on top of the link
-//     cache) — the freeze bins radios into a uniform grid whose cell
-//     size is a conservative receive-floor radius, then stores per
-//     sender only the links above the reception or CCA floor as a
-//     compressed row sorted by receiver slot (the same attach order the
-//     other paths visit). O(N·degree) memory/freeze cost instead of
-//     O(N²); interference from senders outside a receiver's row falls
-//     back to the per-pair computation, so sums stay bit-identical
-//     (tests/channel_sparse_test.cpp).
+//     a CCA-audible bitset. start_transmission gathers a sender's live
+//     candidates into contiguous arrays and accumulates interference as
+//     fixed-order structure-of-arrays loops; busy_at tests precomputed
+//     bits. The cached doubles are the exact values the slow path
+//     computes, and candidates are visited in the same order.
+//   * sparse cached path (use_spatial_index on top of the link cache) —
+//     the freeze bins radios into a uniform grid whose cell size is a
+//     conservative receive-floor radius, then stores per sender only the
+//     links above the reception or CCA floor as a compressed row sorted
+//     by receiver slot (the same attach order the other paths visit).
+//     O(N·degree) memory/freeze cost instead of O(N²); interference from
+//     senders outside a receiver's row falls back to the per-pair
+//     computation, so sums stay bit-identical. It feeds the same gather
+//     and batch kernels as the dense path.
+//
+// One delivery loop serves all three. finish_transmission's pass A
+// computes every receiver's SINR and PRR without drawing randomness:
+// with a frozen cache through the per-pair PRR memo and
+// Modulation::prr_batch (bitwise equal to the scalar PRR), otherwise the
+// slow path's way. Pass B then draws the reception RNG in receiver order
+// and delivers. RNG draw sequences — and therefore all metrics — are
+// bit-identical across the paths; the delivery-digest tests compare
+// each cached path against the slow one (tests/channel_fastpath_test.cpp,
+// tests/channel_sparse_test.cpp).
 //
 // Radios occupy stable slots: detach tombstones a slot and attach reuses
 // it (repairing only the touched rows/cells when a cache is frozen), so
@@ -241,20 +254,34 @@ class Channel {
            radios_[radio.channel_index()] == &radio;
   }
 
+  /// Per-pair PRR memo for interference-free receptions (the common
+  /// case). Thermal SINR is fixed per pair, so PRR depends only on the
+  /// frame size; the entry remembers the last size seen. Zeroed size =
+  /// empty (a frame is never shorter than the PHY overhead).
+  struct PrrMemo {
+    double val = 0.0;
+    std::uint32_t bytes = 0;
+  };
+
+  /// Memo entry for `rx` of cached transmission `tx` — dense matrix or
+  /// sparse row, one lookup. nullptr when the sender has no cache row,
+  /// or the row no longer holds the gain this reception captured (a
+  /// mid-flight tx-power change re-derives the row, and in-flight frames
+  /// keep their old power). Requires a frozen cache.
+  [[nodiscard]] PrrMemo* prr_memo(const ActiveTx& tx, const PendingRx& rx);
+
   // --- sparse spatial index --------------------------------------------
   /// One stored link of a sender's compressed row: a pair above the
   /// reception cutoff (candidate) and/or the CCA threshold (audible).
   /// Rows are sorted by receiver slot — the attach order every path
-  /// visits — and carry the same memoized per-pair PRR the dense matrix
-  /// keeps.
+  /// visits — and carry the same PRR memo the dense matrix keeps.
   struct SparseLink {
-    std::uint32_t receiver = 0;   // slot index, ascending within a row
-    std::uint32_t prr_bytes = 0;  // PRR memo: last frame size (0 = empty)
-    double gain_dbm = 0.0;
-    double gain_mw = 0.0;
-    double prr_val = 0.0;
+    std::uint32_t receiver = 0;  // slot index, ascending within a row
     bool candidate = false;
     bool audible = false;
+    double gain_dbm = 0.0;
+    double gain_mw = 0.0;
+    PrrMemo prr;
   };
 
   [[nodiscard]] double receive_floor_radius(double max_tx_dbm,
@@ -328,24 +355,26 @@ class Channel {
   std::vector<ActiveTx*> tx_pool_;
   std::vector<ActiveTx*> tx_free_;  // recycled objects
 
-  // Batch-kernel scratch (PhyConfig::use_batch_kernels): candidate
-  // gather arrays for start_transmission and SINR/PRR arrays for the
-  // delivery pass. Members so their capacity persists across calls;
-  // the two sets are disjoint because a delivery handler may
-  // synchronously start a new transmission.
+  // Batch-kernel scratch: the cached candidate gather arrays for
+  // start_transmission and the SINR/PRR arrays of finish_transmission's
+  // pass A. Members so their capacity persists across calls; the two
+  // sets are disjoint because a delivery handler may synchronously start
+  // a new transmission.
   std::vector<Radio*> scratch_rx_;
   std::vector<std::uint32_t> scratch_slot_;
   std::vector<double> scratch_gain_dbm_;
   std::vector<double> scratch_interf_;
   std::vector<double> scratch_sinr_;
   std::vector<double> scratch_prr_;
-  std::vector<std::uint32_t> scratch_miss_;  // receiver rows needing a PRR
+  // A receiver row whose PRR goes through prr_batch, and the memo entry
+  // (or nullptr) the result is written back to.
+  struct PrrMiss {
+    std::uint32_t row;
+    PrrMemo* memo;
+  };
+  std::vector<PrrMiss> scratch_miss_;
   std::vector<double> scratch_miss_sinr_;
   std::vector<double> scratch_miss_prr_;
-  // Memo write-back slots for batch misses: dense pair index (or npos),
-  // sparse link pointer (or nullptr).
-  std::vector<std::size_t> scratch_miss_pi_;
-  std::vector<SparseLink*> scratch_miss_link_;
   std::vector<std::uint8_t> corrupt_scratch_;  // deliver_corrupt buffer
 
   // Link cache (fast path): row-major [sender][receiver] rx power, both
@@ -365,14 +394,8 @@ class Channel {
   // spares the delivery loop a pow10 and, usually, a log10 per reception.
   std::vector<double> noise_mw_;
   std::vector<double> noise_dbm_;
-  // Per-pair PRR memo for interference-free receptions (the common
-  // case). Thermal SINR is fixed per pair, so PRR depends only on the
-  // frame size; each slot remembers the last size seen. Entries are only
-  // trusted while the pair's gain_dbm_ still equals the rx power the
-  // reception captured (a mid-flight tx-power change re-derives the row,
-  // and in-flight frames keep their old power). Zeroed size = empty.
-  std::vector<std::uint32_t> prr_bytes_;
-  std::vector<double> prr_val_;
+  // Per-pair PRR memo, row-major like the gains (see prr_memo()).
+  std::vector<PrrMemo> prr_memo_;
   std::vector<std::vector<std::uint32_t>> candidates_;  // per-sender
   std::vector<std::uint64_t> cca_audible_;
 

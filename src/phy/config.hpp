@@ -47,24 +47,15 @@ struct PhyConfig {
   /// RX/TX turnaround before a synchronous ACK goes on air.
   sim::Duration turnaround = sim::Duration::from_us(192);
 
-  /// Channel fast path: on topology freeze, precompute the N x N per-pair
-  /// rx-power matrix and per-sender neighbor lists (reception candidates
-  /// and CCA-audible sets), so start_transmission and busy_at touch only
-  /// reachable neighbors instead of every radio. Produces bit-identical
-  /// results to the slow path (same doubles, same RNG draw order); the
-  /// slow path survives as the reference for the determinism tests.
+  /// Cached channel path: on topology freeze, precompute the N x N
+  /// per-pair rx-power matrix and per-sender neighbor lists (reception
+  /// candidates and CCA-audible sets), so start_transmission and busy_at
+  /// touch only reachable neighbors instead of every radio, and
+  /// interference and SNR->PRR run as batch kernels over contiguous
+  /// arrays. Produces bit-identical results to the slow path (same
+  /// doubles, same RNG draw order); the slow path survives as the oracle
+  /// the delivery-digest tests compare against.
   bool use_link_cache = true;
-
-  /// Batch kernels (effective with use_link_cache): start_transmission
-  /// gathers candidate slots/gains into contiguous scratch arrays and
-  /// runs interference accumulation and SNR->PRR as fixed-order
-  /// structure-of-arrays loops instead of per-receiver scalar code.
-  /// Summation order and every double are bitwise identical to the
-  /// scalar path (the per-receiver interference sum still adds terms in
-  /// active-transmission order, and PRR goes through the same table and
-  /// pow), so flipping this changes speed, never results — enforced by
-  /// the delivery-digest tests.
-  bool use_batch_kernels = true;
 
   /// Sparse spatial channel (requires use_link_cache): instead of the
   /// dense N x N matrices, the freeze builds a uniform grid over node

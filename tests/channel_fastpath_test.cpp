@@ -68,8 +68,8 @@ struct Pump {
   DeliveryDigest digest;
   std::uint64_t deliveries = 0;
 
-  explicit Pump(bool fast, std::size_t n = 30, bool batch = true)
-      : channel(sim, make_phy(fast, batch), phy::PropagationConfig{},
+  explicit Pump(bool fast, std::size_t n = 30)
+      : channel(sim, make_phy(fast), phy::PropagationConfig{},
                 std::make_unique<phy::NullInterference>(), sim::Rng{99}) {
     for (std::size_t i = 0; i < n; ++i) {
       // 30 m grid pitch: every pair is inside the ~268 m reception range,
@@ -88,10 +88,9 @@ struct Pump {
     }
   }
 
-  static phy::PhyConfig make_phy(bool fast, bool batch = true) {
+  static phy::PhyConfig make_phy(bool fast) {
     phy::PhyConfig phy;
     phy.use_link_cache = fast;
-    phy.use_batch_kernels = batch;
     return phy;
   }
 
@@ -148,22 +147,6 @@ TEST(ChannelFastPathTest, DeliveryStreamBitIdenticalToSlowPath) {
   EXPECT_EQ(fast.digest.h, slow.digest.h);
   EXPECT_EQ(fast.channel.frames_transmitted(),
             slow.channel.frames_transmitted());
-}
-
-TEST(ChannelFastPathTest, BatchKernelsBitIdenticalToScalarLoops) {
-  // Same cached fast path, batch SoA kernels on vs off: the gathered
-  // interference passes and the span-based SNR→PRR batch must reproduce
-  // the scalar per-receiver loops bit for bit — every delivered byte,
-  // RSSI, SNR, LQI draw and corrupt-frame mangling identical.
-  Pump batch{true, 30, true};
-  Pump scalar{true, 30, false};
-  batch.run_rounds(8);
-  scalar.run_rounds(8);
-  EXPECT_GT(batch.deliveries, 0u);
-  EXPECT_EQ(batch.deliveries, scalar.deliveries);
-  EXPECT_EQ(batch.digest.h, scalar.digest.h);
-  EXPECT_EQ(batch.channel.frames_transmitted(),
-            scalar.channel.frames_transmitted());
 }
 
 TEST(ChannelFastPathTest, LinkOutageRespectedByCulledPath) {
