@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -11,60 +10,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
-#include <thread>
 
 #include "runner/supervisor.hpp"
 
 namespace fourbit::runner {
-
-std::vector<ExperimentResult> Campaign::run(
-    const std::vector<ExperimentConfig>& trials, const Options& options) {
-  std::vector<ExperimentResult> results(trials.size());
-  if (trials.empty()) return results;
-
-  std::size_t threads = options.threads != 0
-                            ? options.threads
-                            : std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min(threads, trials.size());
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> completed{0};
-  std::mutex progress_mutex;
-
-  const auto worker = [&] {
-    while (true) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= trials.size()) return;
-      // Each trial builds its own Simulator/Network/Rng from its config;
-      // writing into a distinct slot is the only sharing.
-      results[i] = run_experiment(trials[i]);
-      const std::size_t done =
-          completed.fetch_add(1, std::memory_order_acq_rel) + 1;
-      if (options.on_trial_done) {
-        const std::lock_guard<std::mutex> lock{progress_mutex};
-        options.on_trial_done(TrialProgress{
-            .trial_index = i,
-            .completed = done,
-            .total = trials.size(),
-            .config = &trials[i],
-            .result = &results[i],
-        });
-      }
-    }
-  };
-
-  if (threads == 1) {
-    worker();  // no pool: run inline (and keep single-thread stacks clean)
-    return results;
-  }
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  return results;
-}
 
 std::vector<ExperimentConfig> Campaign::seed_sweep(
     const ExperimentConfig& base, std::size_t n) {

@@ -1,21 +1,19 @@
-// Parallel trial campaigns: fan independent experiments out across a
-// thread pool.
+// Campaign building blocks: trial lists, progress reports, aggregates
+// and the shared bench CLI helpers.
 //
 // Every figure in the paper is a sweep — over seeds, TX power, profiles
 // or table sizes — and every trial in such a sweep is an independent
-// (config, seed) pair. A Campaign runs a list of ExperimentConfigs on N
-// worker threads and returns results indexed exactly like the inputs, so
+// (config, seed) pair. run_supervised (supervisor.hpp) runs a trial list
+// on N threads and returns results indexed exactly like the inputs, so
 // the output is bit-identical regardless of thread count or completion
 // order.
 //
 // Determinism contract (verified by tests/campaign_test.cpp): each trial
 // constructs its OWN Simulator, Metrics, Rng tree and Network from its
 // config alone; run_experiment shares no mutable state between trials.
-// The only cross-thread state in the pool is the next-trial counter, the
-// disjoint result slots, and the progress mutex. Telemetry is per-trial
-// state too: every Simulator owns its own sim::TelemetryContext, and
-// traced campaigns write one file per trial (supervisor.hpp), so tracing
-// never couples workers.
+// Telemetry is per-trial state too: every Simulator owns its own
+// sim::TelemetryContext, and traced campaigns write one file per trial
+// (supervisor.hpp), so tracing never couples threads.
 #pragma once
 
 #include <array>
@@ -56,21 +54,6 @@ struct TrialProgress {
 
 class Campaign {
  public:
-  struct Options {
-    /// Worker threads; 0 = one per hardware core.
-    std::size_t threads = 0;
-    /// Optional per-trial completion callback (see TrialProgress).
-    std::function<void(const TrialProgress&)> on_trial_done;
-  };
-
-  /// Runs every trial across the pool. results[i] belongs to trials[i].
-  [[nodiscard]] static std::vector<ExperimentResult> run(
-      const std::vector<ExperimentConfig>& trials, const Options& options);
-  [[nodiscard]] static std::vector<ExperimentResult> run(
-      const std::vector<ExperimentConfig>& trials) {
-    return run(trials, Options{});
-  }
-
   /// Expands `base` into `n` trials with deterministically derived
   /// seeds: trial i gets seed = base.seed + i. The testbed is shared;
   /// sweeps that also re-sample node placement per seed should build

@@ -181,36 +181,16 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
   report.results.resize(trials.size());
   report.completed.assign(trials.size(), 0);
   if (trials.empty()) return report;
-  const std::uint64_t journal_failures_before = TrialJournal::write_failures();
 
   const bool user_journal = !options.supervisor.journal_path.empty();
   const std::string stem = options.supervisor.journal_path;
-
   std::vector<std::uint8_t> failed_bit(trials.size(), 0);
-  std::vector<std::uint8_t> main_has(trials.size(), 0);
 
-  // Resume: the main journal (prior completed campaigns / compacted
-  // shards), then the shards a SIGKILLed coordinator left behind — its
-  // own result shard, or a pre-lease coordinator's per-worker shards.
-  // Seed mismatches belong to another campaign.
-  if (user_journal) {
-    auto loaded = TrialJournal::load(stem);
-    auto merged = TrialJournal::merge_shards(stem);
-    report.journal_torn = loaded.torn || merged.torn;
-    const auto replay = [&](std::vector<JournalEntry>& entries, bool main) {
-      for (auto& entry : entries) {
-        const std::size_t i = entry.trial_index;
-        if (i >= trials.size() || entry.seed != trials[i].seed) continue;
-        if (main) main_has[i] = 1;
-        if (report.completed[i]) continue;
-        report.results[i] = std::move(entry.result);
-        report.completed[i] = 1;
-        ++report.replayed;
-      }
-    };
-    replay(loaded.entries, true);
-    replay(merged.entries, false);
-  }
+  // Resume from the main journal and the shard a SIGKILLed run left
+  // behind. Every result accepted from a peer is recorded the moment it
+  // arrives, so SIGKILLing the coordinator loses nothing already
+  // reported.
+  CampaignJournal journal{stem, trials, report};
 
   // Worker flight snapshots live next to the journal, or in a private
   // directory removed at the end.
@@ -287,20 +267,6 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
     report.failures.push_back(std::move(failure));
     emit_progress(peer, report.failures.back().trial_index, nullptr,
                   &report.failures.back());
-  };
-
-  // Every result accepted from a peer goes straight to a coordinator-
-  // side shard: a trial is durable the moment the coordinator has it,
-  // so SIGKILLing the coordinator loses nothing already reported.
-  std::optional<TrialJournal> result_shard;
-  const auto journal_result = [&](std::size_t i) {
-    if (!user_journal) return;
-    if (!result_shard) {
-      result_shard = TrialJournal::open_append(
-          TrialJournal::shard_path(stem, kRemoteShardId));
-    }
-    result_shard->append(static_cast<std::uint32_t>(i), trials[i].seed,
-                         report.results[i]);
   };
 
   const auto fail_hard = [&](Peer& peer, std::size_t index,
@@ -581,7 +547,7 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
         if (report.completed[index]) return true;
         report.completed[index] = 1;
         ++report.attempts;
-        journal_result(index);
+        journal.record(index, report.results[index]);
         emit_progress(p, index, &report.results[index], nullptr);
         return true;
       }
@@ -836,8 +802,7 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
                  remaining.size());
     SupervisorOptions local = options.supervisor;
     local.subset = remaining;
-    local.journal_path =
-        user_journal ? TrialJournal::shard_path(stem, kLocalShardId) : "";
+    local.journal_path.clear();  // on_trial_done records into ours
     const std::size_t base_done = progress_done;
     const std::size_t base_failed = failed_count;
     const std::uint64_t base_retries = report.retries;
@@ -846,6 +811,7 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
       fallback_settled.store(p.completed, std::memory_order_relaxed);
       fallback_failed.store(p.failed, std::memory_order_relaxed);
       fallback_retried.store(p.retried, std::memory_order_relaxed);
+      if (p.result != nullptr) journal.record(p.trial_index, *p.result);
       if (!inner) return;
       TrialProgress q = p;  // re-base counters onto the whole campaign
       q.completed = base_done + p.completed;
@@ -874,41 +840,14 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
     }
     report.attempts += fb.attempts;
     report.retries += fb.retries;
-    report.journal_torn = report.journal_torn || fb.journal_torn;
   }
 
-  if (user_journal) {
-    // Compact: fold every new result into the main journal IN INDEX
-    // ORDER — the bytes a single-process --threads run would have left
-    // — then delete the shards and flight snapshots ("<stem>.w*").
-    result_shard.reset();
-    {
-      auto out = TrialJournal::open_append(stem);
-      for (std::size_t i = 0; i < trials.size(); ++i) {
-        if (!report.completed[i] || main_has[i]) continue;
-        out.append(static_cast<std::uint32_t>(i), trials[i].seed,
-                   report.results[i]);
-      }
-    }
-    const fs::path stem_path{stem};
-    const fs::path dir = stem_path.has_parent_path() ? stem_path.parent_path()
-                                                     : fs::path{"."};
-    const std::string prefix = stem_path.filename().string() + ".w";
-    std::error_code ec;
-    for (const auto& dirent : fs::directory_iterator{dir, ec}) {
-      const std::string name = dirent.path().filename().string();
-      if (name.compare(0, prefix.size(), prefix) == 0) {
-        fs::remove(dirent.path(), ec);
-      }
-    }
-  }
+  journal.finish(report);
   if (!temp_dir.empty()) {
     std::error_code ec;
     fs::remove_all(temp_dir, ec);
   }
 
-  report.journal_write_failures =
-      TrialJournal::write_failures() - journal_failures_before;
   // Settlement order is scheduling; the report must not be.
   std::sort(report.failures.begin(), report.failures.end(),
             [](const TrialFailure& a, const TrialFailure& b) {

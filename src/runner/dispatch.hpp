@@ -21,9 +21,9 @@
 //   * attributes a peer death to the trials that were in flight and
 //     marks a trial kHardCrash once it survives max_trial_crashes of
 //     them (the crash-loop quarantine, across workers and machines);
-//   * journals every accepted result to a coordinator-side shard
-//     ("<stem>.w1000000.journal"), so SIGKILLing the coordinator loses
-//     nothing a peer already reported; and
+//   * records every accepted result in the campaign journal's shard
+//     (CampaignJournal, journal.hpp), so SIGKILLing the coordinator
+//     loses nothing a peer already reported; and
 //   * once every peer is retired, finishes the rest with a local
 //     run_supervised pass (hosts: the campaign ALWAYS completes) or
 //     fails it as kHardCrash (workers: running a crashing trial
@@ -37,10 +37,11 @@
 //
 // Determinism: every trial is a pure function of its config, results
 // ride CRC-framed journal records byte-for-byte, the final report is
-// keyed by trial index, and the shard compaction at the end rewrites
-// the main journal in index order — so a clean run's CampaignReport
-// and --journal file are byte-identical to a single-process run, and a
-// resume after coordinator SIGKILL is bit-identical too. Liveness
+// keyed by trial index, and the campaign journal extends the main
+// journal in index order at the end — so a clean run's CampaignReport
+// and --journal file are byte-identical to an in-process run at any
+// --threads, and a resume after coordinator SIGKILL is bit-identical
+// too. Liveness
 // caveat: a peer that heartbeats but never finishes its trial is only
 // expired when --max-trial-ms arms trial_timeout_ms.
 #pragma once
@@ -56,17 +57,9 @@
 
 namespace fourbit::runner {
 
-/// Coordinator-side journal shard ids, far above the per-worker shards
-/// a pre-lease coordinator wrote (0..workers-1, still replayed on
-/// resume): results accepted from peers, and the local-fallback
-/// supervisor's journal, live in these shards until the final
-/// compaction folds both into the main journal.
-inline constexpr std::size_t kRemoteShardId = 1'000'000;
-inline constexpr std::size_t kLocalShardId = 1'000'001;
-
 struct DispatchOptions {
-  /// Trial-level policy. journal_path is the main journal stem (shards
-  /// live next to it); on_trial_done fires on the coordinator as trials
+  /// Trial-level policy. journal_path is the main journal stem (its
+  /// shard lives next to it); on_trial_done fires on the coordinator as trials
   /// settle; run_trial/threads apply to the local fallback only.
   SupervisorOptions supervisor;
   /// Host agents to drive (from --hosts). May be empty, in which case

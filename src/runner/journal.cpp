@@ -2,14 +2,13 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cerrno>
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <map>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -19,12 +18,20 @@
 namespace fourbit::runner {
 namespace {
 
-constexpr std::uint16_t kMagic = kJournalMagic;  // "FJ"
-constexpr std::uint8_t kVersion = 2;
 constexpr std::size_t kFrameHeaderBytes = 6;  // magic u16 + length u32
-constexpr std::size_t kCrcBytes = 2;
+constexpr std::size_t kFrameCrcBytes = 2;
+constexpr std::uint8_t kVersion = 2;
 
 std::atomic<std::uint64_t> g_write_failures{0};
+
+void warn_write_failure(const char* what, int err) {
+  g_write_failures.fetch_add(1, std::memory_order_relaxed);
+  std::fprintf(stderr,
+               "fourbit-journal: %s (%s); journaling disabled for the rest "
+               "of the campaign (runner/journal_write_failures)\n",
+               what, std::strerror(err));
+  std::fflush(stderr);
+}
 
 // Every field of ExperimentResult, in declaration order. Bump kVersion
 // when this layout changes; load() drops records of other versions.
@@ -120,10 +127,30 @@ ExperimentResult decode_result(ByteReader& r) {
   return out;
 }
 
-std::vector<std::uint8_t> read_all(const std::string& path) {
+/// Deletes every "<stem>.w<digit>..." sibling of the journal at `stem`.
+void remove_shard_files(const std::string& stem) {
+  namespace fs = std::filesystem;
+  const fs::path stem_path{stem};
+  const fs::path dir =
+      stem_path.has_parent_path() ? stem_path.parent_path() : fs::path{"."};
+  const std::string prefix = stem_path.filename().string() + ".w";
+  std::error_code ec;
+  for (const auto& dirent : fs::directory_iterator{dir, ec}) {
+    const std::string name = dirent.path().filename().string();
+    if (name.size() > prefix.size() &&
+        name.compare(0, prefix.size(), prefix) == 0 &&
+        std::isdigit(static_cast<unsigned char>(name[prefix.size()])) != 0) {
+      fs::remove(dirent.path(), ec);
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
   std::vector<std::uint8_t> bytes;
   std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return bytes;  // no journal yet: empty
+  if (file == nullptr) return bytes;
   std::uint8_t chunk[4096];
   std::size_t n = 0;
   while ((n = std::fread(chunk, 1, sizeof chunk, file)) > 0) {
@@ -133,28 +160,42 @@ std::vector<std::uint8_t> read_all(const std::string& path) {
   return bytes;
 }
 
-/// Byte length of the leading run of intact records: where a torn tail
-/// (if any) begins.
-std::size_t clean_prefix_bytes(const std::vector<std::uint8_t>& bytes) {
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    const std::span<const std::uint8_t> rest{bytes.data() + pos,
-                                             bytes.size() - pos};
-    if (rest.size() < kFrameHeaderBytes) break;
-    ByteReader header{rest.first(kFrameHeaderBytes)};
-    if (header.u16() != kMagic) break;
-    const std::uint32_t length = header.u32();
-    if (rest.size() < kFrameHeaderBytes + length + kCrcBytes) break;
-    const auto payload = rest.subspan(kFrameHeaderBytes, length);
-    ByteReader crc_reader{rest.subspan(kFrameHeaderBytes + length, kCrcBytes)};
-    if (crc_reader.u16() != crc16(payload)) break;
-    if (!decode_journal_record_payload(payload)) break;
-    pos += kFrameHeaderBytes + length + kCrcBytes;
-  }
-  return pos;
+std::vector<std::uint8_t> encode_frame(std::uint16_t magic,
+                                       std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> frame;
+  frame.reserve(kFrameHeaderBytes + payload.size() + kFrameCrcBytes);
+  ByteWriter w{frame};
+  w.u16(magic);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.bytes(payload);
+  w.u16(crc16(payload));
+  return frame;
 }
 
-}  // namespace
+FrameView read_frame(std::span<const std::uint8_t> bytes,
+                     std::size_t max_payload) {
+  FrameView frame;
+  if (bytes.size() < kFrameHeaderBytes) return frame;
+  ByteReader header{bytes.first(kFrameHeaderBytes)};
+  frame.magic = header.u16();
+  const std::size_t length = header.u32();
+  if (length > max_payload) {
+    frame.status = FrameStatus::kBad;
+    return frame;
+  }
+  const std::size_t size = kFrameHeaderBytes + length + kFrameCrcBytes;
+  if (bytes.size() < size) return frame;
+  const auto payload = bytes.subspan(kFrameHeaderBytes, length);
+  ByteReader crc{bytes.subspan(kFrameHeaderBytes + length, kFrameCrcBytes)};
+  if (crc.u16() != crc16(payload)) {
+    frame.status = FrameStatus::kBad;
+    return frame;
+  }
+  frame.status = FrameStatus::kOk;
+  frame.payload = payload;
+  frame.size = size;
+  return frame;
+}
 
 std::vector<std::uint8_t> encode_journal_record(const JournalEntry& entry) {
   std::vector<std::uint8_t> payload;
@@ -163,14 +204,7 @@ std::vector<std::uint8_t> encode_journal_record(const JournalEntry& entry) {
   writer.u32(entry.trial_index);
   writer.u64(entry.seed);
   encode_result(writer, entry.result);
-
-  std::vector<std::uint8_t> frame;
-  ByteWriter framer{frame};
-  framer.u16(kMagic);
-  framer.u32(static_cast<std::uint32_t>(payload.size()));
-  framer.bytes(payload);
-  framer.u16(crc16(payload));
-  return frame;
+  return encode_frame(kJournalMagic, payload);
 }
 
 std::optional<JournalEntry> decode_journal_record_payload(
@@ -187,108 +221,23 @@ std::optional<JournalEntry> decode_journal_record_payload(
 
 TrialJournal::LoadResult TrialJournal::load(const std::string& path) {
   LoadResult out;
-  const std::vector<std::uint8_t> bytes = read_all(path);
-  std::size_t pos = 0;
-  while (pos < bytes.size()) {
-    // Any framing or CRC failure from here on means a torn tail (or
-    // corruption); the suffix cannot be trusted, so replay stops.
-    const std::span<const std::uint8_t> rest{bytes.data() + pos,
-                                             bytes.size() - pos};
-    if (rest.size() < kFrameHeaderBytes) {
-      out.torn = true;
-      break;
+  const std::vector<std::uint8_t> bytes = read_file(path);  // missing: empty
+  std::span<const std::uint8_t> rest{bytes};
+  while (!rest.empty()) {
+    // Any framing, CRC or decode failure from here on means a torn tail
+    // (or corruption); the suffix cannot be trusted, so replay stops.
+    const FrameView frame = read_frame(rest, kMaxJournalPayloadBytes);
+    std::optional<JournalEntry> entry;
+    if (frame.status == FrameStatus::kOk && frame.magic == kJournalMagic) {
+      entry = decode_journal_record_payload(frame.payload);
     }
-    ByteReader header{rest.first(kFrameHeaderBytes)};
-    if (header.u16() != kMagic) {
-      out.torn = true;
-      break;
-    }
-    const std::uint32_t length = header.u32();
-    if (rest.size() < kFrameHeaderBytes + length + kCrcBytes) {
-      out.torn = true;
-      break;
-    }
-    const auto payload = rest.subspan(kFrameHeaderBytes, length);
-    ByteReader crc_reader{rest.subspan(kFrameHeaderBytes + length, kCrcBytes)};
-    if (crc_reader.u16() != crc16(payload)) {
-      out.torn = true;
-      break;
-    }
-    auto entry = decode_journal_record_payload(payload);
     if (!entry) {
       out.torn = true;
       break;
     }
     out.entries.push_back(std::move(*entry));
-    pos += kFrameHeaderBytes + length + kCrcBytes;
-  }
-  return out;
-}
-
-std::string TrialJournal::shard_path(const std::string& stem,
-                                     std::size_t worker) {
-  return stem + ".w" + std::to_string(worker) + ".journal";
-}
-
-TrialJournal::ShardMergeResult TrialJournal::merge_shards(
-    const std::string& stem) {
-  ShardMergeResult out;
-
-  // Find every "<basename>.w<k>.journal" sibling of `stem`, sorted
-  // numerically by worker id so "last record wins" is deterministic.
-  namespace fs = std::filesystem;
-  const fs::path stem_path{stem};
-  const fs::path dir =
-      stem_path.has_parent_path() ? stem_path.parent_path() : fs::path{"."};
-  const std::string prefix = stem_path.filename().string() + ".w";
-  const std::string suffix = ".journal";
-  std::vector<std::pair<std::uint64_t, fs::path>> shards;
-  std::error_code ec;
-  for (const auto& dirent : fs::directory_iterator{dir, ec}) {
-    const std::string name = dirent.path().filename().string();
-    if (name.size() <= prefix.size() + suffix.size()) continue;
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-        0) {
-      continue;
-    }
-    const std::string digits =
-        name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-    if (digits.empty()) continue;
-    std::uint64_t worker = 0;
-    bool numeric = true;
-    for (const char c : digits) {
-      if (c < '0' || c > '9') {
-        numeric = false;
-        break;
-      }
-      worker = worker * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (!numeric) continue;
-    shards.emplace_back(worker, dirent.path());
-  }
-  std::sort(shards.begin(), shards.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // Dedup by (index, seed): the latest complete record replaces any
-  // earlier one, so a trial journaled twice (overlapping ranges after a
-  // respawn or resume) settles on the most recent write.
-  std::map<std::pair<std::uint32_t, std::uint64_t>, std::size_t> slot_of;
-  for (const auto& [worker, path] : shards) {
-    ++out.shards;
-    LoadResult loaded = load(path.string());
-    out.torn = out.torn || loaded.torn;
-    for (auto& entry : loaded.entries) {
-      ++out.records;
-      const auto key = std::make_pair(entry.trial_index, entry.seed);
-      const auto it = slot_of.find(key);
-      if (it != slot_of.end()) {
-        out.entries[it->second] = std::move(entry);
-      } else {
-        slot_of.emplace(key, out.entries.size());
-        out.entries.push_back(std::move(entry));
-      }
-    }
+    out.clean_bytes += frame.size;
+    rest = rest.subspan(frame.size);
   }
   return out;
 }
@@ -298,11 +247,10 @@ TrialJournal TrialJournal::open_append(const std::string& path) {
   // would strand every subsequent record: framing is lost at the first
   // bad byte, so load() could never reach them. Truncate to the clean
   // prefix first — exactly the bytes load() would replay anyway.
-  const std::vector<std::uint8_t> bytes = read_all(path);
-  const std::size_t clean = clean_prefix_bytes(bytes);
-  if (clean < bytes.size()) {
+  const LoadResult loaded = load(path);
+  if (loaded.torn) {
     std::error_code ec;
-    std::filesystem::resize_file(path, clean, ec);
+    std::filesystem::resize_file(path, loaded.clean_bytes, ec);
     if (ec) {
       throw std::runtime_error("cannot truncate torn trial journal tail: " +
                                path);
@@ -318,28 +266,25 @@ TrialJournal TrialJournal::open_append(const std::string& path) {
 void TrialJournal::append(std::uint32_t trial_index, std::uint64_t seed,
                           const ExperimentResult& result) {
   if (file_ == nullptr) return;  // latched disabled by an earlier failure
+  append_frames(encode_journal_record({trial_index, seed, result}));
+}
 
-  const std::vector<std::uint8_t> frame =
-      encode_journal_record({trial_index, seed, result});
+void TrialJournal::append_frames(std::span<const std::uint8_t> frames) {
+  // Latched disabled by an earlier failure, or nothing to write.
+  if (file_ == nullptr || frames.empty()) return;
 
-  // One fsync per trial: a journaled record must survive SIGKILL the
-  // moment append() returns — that is the whole point of the journal.
+  // One fsync per write: a journaled record must survive SIGKILL the
+  // moment the append returns — that is the whole point of the journal.
   // A failure anywhere in write/flush/fsync (ENOSPC, EIO) only costs
   // that safety net, so it must not abort the campaign: latch the
   // journal disabled and keep running. The partial frame left behind
   // is a torn tail, which load()/open_append() already drop/truncate.
   const bool wrote =
-      std::fwrite(frame.data(), 1, frame.size(), file_) == frame.size() &&
+      std::fwrite(frames.data(), 1, frames.size(), file_) == frames.size() &&
       std::fflush(file_) == 0 && ::fsync(::fileno(file_)) == 0;
   if (wrote) return;
 
-  const int err = errno;
-  g_write_failures.fetch_add(1, std::memory_order_relaxed);
-  std::fprintf(stderr,
-               "fourbit-journal: write failed (%s); journaling disabled for "
-               "the rest of the campaign (runner/journal_write_failures)\n",
-               std::strerror(err));
-  std::fflush(stderr);
+  warn_write_failure("write failed", errno);
   std::fclose(file_);
   file_ = nullptr;
 }
@@ -363,6 +308,71 @@ TrialJournal& TrialJournal::operator=(TrialJournal&& other) noexcept {
 
 TrialJournal::~TrialJournal() {
   if (file_ != nullptr) std::fclose(file_);
+}
+
+CampaignJournal::CampaignJournal(std::string stem,
+                                 const std::vector<ExperimentConfig>& trials,
+                                 CampaignReport& report)
+    : stem_(std::move(stem)),
+      trials_(trials),
+      in_main_(trials.size(), 0),
+      failures_before_(TrialJournal::write_failures()) {
+  if (stem_.empty()) return;
+  const auto replay = [&](const std::string& path, bool main) {
+    TrialJournal::LoadResult loaded = TrialJournal::load(path);
+    report.journal_torn = report.journal_torn || loaded.torn;
+    for (auto& entry : loaded.entries) {
+      const std::size_t i = entry.trial_index;
+      if (i >= trials.size() || entry.seed != trials[i].seed) continue;
+      if (main) in_main_[i] = 1;
+      if (report.completed[i]) continue;
+      report.results[i] = std::move(entry.result);
+      report.completed[i] = 1;
+      ++report.replayed;
+    }
+  };
+  replay(stem_, true);
+  replay(shard_path(stem_), false);
+  shard_ = TrialJournal::open_append(shard_path(stem_));
+}
+
+void CampaignJournal::record(std::size_t index,
+                             const ExperimentResult& result) {
+  if (!shard_) return;
+  const std::lock_guard<std::mutex> lock{mutex_};
+  shard_->append(static_cast<std::uint32_t>(index), trials_[index].seed,
+                 result);
+}
+
+void CampaignJournal::finish(CampaignReport& report) {
+  if (shard_) {
+    shard_.reset();
+    std::vector<std::uint8_t> frames;
+    for (std::size_t i = 0; i < trials_.size(); ++i) {
+      if (!report.completed[i] || in_main_[i]) continue;
+      const auto frame = encode_journal_record(
+          {static_cast<std::uint32_t>(i), trials_[i].seed, report.results[i]});
+      frames.insert(frames.end(), frame.begin(), frame.end());
+    }
+    bool compacted = false;
+    try {
+      TrialJournal main = TrialJournal::open_append(stem_);
+      main.append_frames(frames);
+      compacted = main.healthy();
+    } catch (const std::runtime_error&) {
+      warn_write_failure("cannot reopen the main journal", errno);
+    }
+    // Everything is in the main journal now: the shard and the workers'
+    // flight snapshots ("<stem>.w<k>.t<i>.flight") are spent. A failed
+    // compaction keeps them, so the next run can still resume.
+    if (compacted) remove_shard_files(stem_);
+  }
+  report.journal_write_failures =
+      TrialJournal::write_failures() - failures_before_;
+}
+
+std::string CampaignJournal::shard_path(const std::string& stem) {
+  return stem + ".w1000000.journal";
 }
 
 }  // namespace fourbit::runner

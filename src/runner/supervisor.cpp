@@ -122,25 +122,9 @@ CampaignReport run_supervised(const std::vector<ExperimentConfig>& trials,
   report.results.resize(trials.size());
   report.completed.assign(trials.size(), 0);
   if (trials.empty()) return report;
-  const std::uint64_t journal_failures_before = TrialJournal::write_failures();
 
   // Resume: replay journaled results for matching (index, seed) slots.
-  // A record whose seed disagrees with the trial list belongs to some
-  // other campaign and is ignored rather than trusted.
-  std::optional<TrialJournal> journal;
-  if (!options.journal_path.empty()) {
-    auto loaded = TrialJournal::load(options.journal_path);
-    report.journal_torn = loaded.torn;
-    for (auto& entry : loaded.entries) {
-      if (entry.trial_index >= trials.size()) continue;
-      if (entry.seed != trials[entry.trial_index].seed) continue;
-      if (report.completed[entry.trial_index]) continue;
-      report.results[entry.trial_index] = std::move(entry.result);
-      report.completed[entry.trial_index] = 1;
-      ++report.replayed;
-    }
-    journal = TrialJournal::open_append(options.journal_path);
-  }
+  CampaignJournal journal{options.journal_path, trials, report};
   if (options.status != nullptr && report.replayed > 0) {
     options.status->add_replayed(report.replayed);
   }
@@ -171,7 +155,6 @@ CampaignReport run_supervised(const std::vector<ExperimentConfig>& trials,
   std::atomic<std::size_t> retried{0};
   std::atomic<std::uint64_t> attempts{0};
   std::mutex progress_mutex;  // serializes callbacks and report.failures
-  std::mutex journal_mutex;
 
   const auto worker = [&] {
     while (true) {
@@ -237,11 +220,7 @@ CampaignReport run_supervised(const std::vector<ExperimentConfig>& trials,
           report.results[i] = std::move(outcome.result);
           report.completed[i] = 1;
           failure.reset();
-          if (journal) {
-            const std::lock_guard<std::mutex> lock{journal_mutex};
-            journal->append(static_cast<std::uint32_t>(i), config.seed,
-                            report.results[i]);
-          }
+          journal.record(i, report.results[i]);
           break;
         }
         failure = std::move(outcome.failure);
@@ -308,8 +287,7 @@ CampaignReport run_supervised(const std::vector<ExperimentConfig>& trials,
 
   report.attempts = attempts.load();
   report.retries = retried.load();
-  report.journal_write_failures =
-      TrialJournal::write_failures() - journal_failures_before;
+  journal.finish(report);
   // Completion order depends on thread scheduling; the report must not.
   std::sort(report.failures.begin(), report.failures.end(),
             [](const TrialFailure& a, const TrialFailure& b) {

@@ -1,10 +1,10 @@
 // Campaign supervision: per-trial isolation, watchdog timeouts,
 // retries, and crash-safe checkpoint/resume.
 //
-// Campaign::run (campaign.hpp) trusts every trial. That is wrong at
-// fault-matrix scale: one trial that trips FOURBIT_ASSERT, throws, or
-// wedges in the event loop would kill the whole process and discard
-// every completed sibling. run_supervised wraps each trial so that
+// Trusting every trial is wrong at fault-matrix scale: one trial that
+// trips FOURBIT_ASSERT, throws, or wedges in the event loop would kill
+// the whole process and discard every completed sibling. run_supervised
+// runs a trial list on a thread pool and wraps each trial so that
 //
 //   * a failed assertion (per-thread throwing handler, common/assert.hpp),
 //   * any escaping exception,
@@ -13,9 +13,9 @@
 //
 // each become a structured TrialFailure in the CampaignReport instead
 // of a dead pool. Failed trials may be retried under a RetryPolicy, and
-// completed results are checkpointed to an append-only CRC-framed
-// journal (journal.hpp) so a killed campaign resumes where it died —
-// bit-identical to an uninterrupted run at any thread count.
+// completed results are checkpointed to the campaign journal
+// (CampaignJournal, journal.hpp) so a killed campaign resumes where it
+// died — bit-identical to an uninterrupted run at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -117,9 +117,9 @@ struct SupervisorOptions {
   /// limits take precedence field by field. Zero = unlimited.
   sim::SimBudget trial_budget;
   RetryPolicy retry;
-  /// Append-only result journal (journal.hpp); empty = no journal.
-  /// Records already present for these trials (matching index and seed)
-  /// are replayed instead of re-run.
+  /// Main result journal (CampaignJournal, journal.hpp); empty = no
+  /// journal. Records already present for these trials (matching index
+  /// and seed) are replayed instead of re-run.
   std::string journal_path;
   /// Trial executor; defaults to run_experiment. Tests substitute
   /// throwing / asserting / hanging trials here.

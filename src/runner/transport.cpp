@@ -12,21 +12,13 @@
 #include <cstring>
 
 #include "common/byte_io.hpp"
-#include "common/crc16.hpp"
 
 namespace fourbit::runner {
 namespace {
 
 constexpr std::uint8_t kControlVersion = 1;
-constexpr std::size_t kFrameHeaderBytes = 6;  // magic u16 + length u32
-constexpr std::size_t kCrcBytes = 2;
-// Per-magic sanity caps: status and control
-// frames are small, but a journal frame carries per-node vectors and
-// scales with topology size (~12 bytes/node), so it gets more rope. A
-// length past the cap is corruption, not a giant record.
-constexpr std::size_t kMaxStatusFrameBytes = 1 << 20;
-constexpr std::size_t kMaxControlFrameBytes = 1 << 20;
-constexpr std::size_t kMaxResultFrameBytes = 8 << 20;
+/// Cap on a control frame's text: a length past it is corruption.
+constexpr std::size_t kMaxControlTextBytes = 1 << 20;
 // write_all_fd backstop: a peer that accepts nothing for this long is
 // treated as gone (a dead coordinator must not wedge a host forever).
 constexpr int kWriteStallTimeoutMs = 30'000;
@@ -165,14 +157,7 @@ std::vector<std::uint8_t> encode_control_message(
   w.u32(message.lease);
   w.u32(static_cast<std::uint32_t>(message.text.size()));
   for (const char c : message.text) w.u8(static_cast<std::uint8_t>(c));
-
-  std::vector<std::uint8_t> frame;
-  ByteWriter framer{frame};
-  framer.u16(kControlMagic);
-  framer.u32(static_cast<std::uint32_t>(payload.size()));
-  framer.bytes(payload);
-  framer.u16(crc16(payload));
-  return frame;
+  return encode_frame(kControlMagic, payload);
 }
 
 std::optional<ControlMessage> decode_control_message_payload(
@@ -187,7 +172,7 @@ std::optional<ControlMessage> decode_control_message_payload(
   message.kind = static_cast<ControlKind>(kind);
   message.lease = r.u32();
   const std::uint32_t text_len = r.u32();
-  if (!r.ok() || text_len > kMaxControlFrameBytes ||
+  if (!r.ok() || text_len > kMaxControlTextBytes ||
       r.remaining() < text_len) {
     return std::nullopt;
   }
@@ -210,39 +195,26 @@ std::optional<TransportFrame> TransportParser::next() {
     buffer_.clear();
     pos_ = 0;
   }
-  const std::size_t avail = buffer_.size() - pos_;
-  if (avail < kFrameHeaderBytes) return std::nullopt;
-  const std::span<const std::uint8_t> rest{buffer_.data() + pos_, avail};
-  ByteReader header{rest.first(kFrameHeaderBytes)};
-  const std::uint16_t magic = header.u16();
-  std::size_t max_frame = 0;
-  switch (magic) {
-    case kWorkerPipeMagic: max_frame = kMaxStatusFrameBytes; break;
-    case kJournalMagic: max_frame = kMaxResultFrameBytes; break;
-    case kControlMagic: max_frame = kMaxControlFrameBytes; break;
-    default:
-      corrupt_ = true;
-      return std::nullopt;
-  }
-  const std::uint32_t length = header.u32();
-  if (length > max_frame) {
+  // The largest frame on a session is a journal record; an unknown
+  // magic is garbage as soon as the header shows it.
+  const FrameView view = read_frame(
+      std::span<const std::uint8_t>{buffer_}.subspan(pos_),
+      kMaxJournalPayloadBytes);
+  const bool known = view.magic == kWorkerPipeMagic ||
+                     view.magic == kJournalMagic ||
+                     view.magic == kControlMagic;
+  if (view.status == FrameStatus::kBad || (view.magic != 0 && !known)) {
     corrupt_ = true;
     return std::nullopt;
   }
-  if (avail < kFrameHeaderBytes + length + kCrcBytes) return std::nullopt;
-  const auto payload = rest.subspan(kFrameHeaderBytes, length);
-  ByteReader crc_reader{rest.subspan(kFrameHeaderBytes + length, kCrcBytes)};
-  if (crc_reader.u16() != crc16(payload)) {
-    corrupt_ = true;
-    return std::nullopt;
-  }
+  if (view.status == FrameStatus::kNeedMore) return std::nullopt;
 
   TransportFrame frame;
   bool decoded = false;
-  switch (magic) {
+  switch (view.magic) {
     case kWorkerPipeMagic: {
       frame.type = TransportFrame::Type::kStatus;
-      auto rec = decode_worker_record_payload(payload);
+      auto rec = decode_worker_record_payload(view.payload);
       if (rec) {
         frame.record = std::move(*rec);
         decoded = true;
@@ -251,7 +223,7 @@ std::optional<TransportFrame> TransportParser::next() {
     }
     case kJournalMagic: {
       frame.type = TransportFrame::Type::kResult;
-      auto entry = decode_journal_record_payload(payload);
+      auto entry = decode_journal_record_payload(view.payload);
       if (entry) {
         frame.entry = std::move(*entry);
         decoded = true;
@@ -260,7 +232,7 @@ std::optional<TransportFrame> TransportParser::next() {
     }
     case kControlMagic: {
       frame.type = TransportFrame::Type::kControl;
-      auto control = decode_control_message_payload(payload);
+      auto control = decode_control_message_payload(view.payload);
       if (control) {
         frame.control = std::move(*control);
         decoded = true;
@@ -273,7 +245,7 @@ std::optional<TransportFrame> TransportParser::next() {
     corrupt_ = true;
     return std::nullopt;
   }
-  pos_ += kFrameHeaderBytes + length + kCrcBytes;
+  pos_ += view.size;
   // Compact once the consumed prefix dominates, so a long session does
   // not grow the buffer without bound.
   if (pos_ > (1 << 16) && pos_ * 2 > buffer_.size()) {

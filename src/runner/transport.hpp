@@ -5,12 +5,12 @@
 // A session multiplexes three CRC-framed record kinds: status frames
 // ("FW", worker.hpp) for liveness and trial lifecycle, journal frames
 // ("FJ", journal.hpp) for results, and control frames ("FT") for lease
-// grants, completion and live status. Every frame is
-// magic u16 | length u32 | payload | crc16(payload), so one incremental
-// parser (TransportParser) demultiplexes the stream by magic, and any
-// framing violation latches corrupt(), which the coordinator treats as
-// the peer's death: the session ends, its lease returns to the pool,
-// and a worker behind it gets hard-crash treatment.
+// grants, completion and live status. Every frame is the runner's one
+// CRC frame (journal.hpp), so one incremental parser (TransportParser)
+// demultiplexes the stream by magic, and any framing violation latches
+// corrupt(), which the coordinator treats as the peer's death: the
+// session ends, its lease returns to the pool, and a worker behind it
+// gets hard-crash treatment.
 //
 // Control frames ("FT") carry:
 //     payload = version u8 | kind u8 | lease u32 | text (u32 + bytes)

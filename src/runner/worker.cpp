@@ -7,8 +7,8 @@
 #include <utility>
 
 #include "common/byte_io.hpp"
-#include "common/crc16.hpp"
 #include "runner/dispatch.hpp"
+#include "runner/journal.hpp"
 
 namespace fourbit::runner {
 namespace {
@@ -16,12 +16,12 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::uint16_t kSnapshotMagic = 0x4653;  // "FS"
-constexpr std::uint8_t kPipeVersion = 1;
-constexpr std::size_t kFrameHeaderBytes = 6;  // magic u16 + length u32
-constexpr std::size_t kCrcBytes = 2;
-/// Sanity cap on one frame: a length field past this is corruption, not
-/// a giant record (the largest real record is a kTrialFailed carrying a
-/// 128-event flight plus an exception message).
+constexpr std::uint8_t kRecordVersion = 2;
+constexpr std::uint8_t kSnapshotVersion = 1;
+/// Sanity cap on a status record's message and on a snapshot frame: a
+/// length past this is corruption, not a giant record (the largest real
+/// record is a kTrialFailed carrying a 128-event flight plus an
+/// exception message).
 constexpr std::size_t kMaxFrameBytes = 1 << 20;
 constexpr std::size_t kMaxFlightEvents = 4096;
 
@@ -52,30 +52,18 @@ void encode_event(ByteWriter& w, const sim::TelemetryEvent& e) {
   return e;
 }
 
-[[nodiscard]] std::vector<std::uint8_t> frame_payload(
-    std::uint16_t magic, const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> frame;
-  ByteWriter framer{frame};
-  framer.u16(magic);
-  framer.u32(static_cast<std::uint32_t>(payload.size()));
-  framer.bytes(payload);
-  framer.u16(crc16(payload));
-  return frame;
-}
-
 }  // namespace
 
 std::optional<WorkerRecord> decode_worker_record_payload(
     std::span<const std::uint8_t> payload) {
   ByteReader r{payload};
-  if (r.u8() != kPipeVersion) return std::nullopt;
+  if (r.u8() != kRecordVersion) return std::nullopt;
   const std::uint8_t kind = r.u8();
   if (kind > static_cast<std::uint8_t>(WorkerRecordKind::kTrialFailed)) {
     return std::nullopt;
   }
   WorkerRecord rec;
   rec.kind = static_cast<WorkerRecordKind>(kind);
-  rec.worker = r.u32();
   rec.trial_index = r.u32();
   rec.seed = r.u64();
   rec.attempt = r.u32();
@@ -107,9 +95,8 @@ std::optional<WorkerRecord> decode_worker_record_payload(
 std::vector<std::uint8_t> encode_worker_record(const WorkerRecord& record) {
   std::vector<std::uint8_t> payload;
   ByteWriter w{payload};
-  w.u8(kPipeVersion);
+  w.u8(kRecordVersion);
   w.u8(static_cast<std::uint8_t>(record.kind));
-  w.u32(record.worker);
   w.u32(record.trial_index);
   w.u64(record.seed);
   w.u32(record.attempt);
@@ -119,7 +106,7 @@ std::vector<std::uint8_t> encode_worker_record(const WorkerRecord& record) {
   for (const char c : record.what) w.u8(static_cast<std::uint8_t>(c));
   w.u32(static_cast<std::uint32_t>(record.flight.size()));
   for (const auto& event : record.flight) encode_event(w, event);
-  return frame_payload(kWorkerPipeMagic, payload);
+  return encode_frame(kWorkerPipeMagic, payload);
 }
 
 std::string format_index_spans(const std::vector<std::size_t>& indices) {
@@ -186,12 +173,12 @@ void write_flight_snapshot(const std::string& path, std::size_t trial_index,
                            const std::vector<sim::TelemetryEvent>& events) {
   std::vector<std::uint8_t> payload;
   ByteWriter w{payload};
-  w.u8(kPipeVersion);
+  w.u8(kSnapshotVersion);
   w.u32(static_cast<std::uint32_t>(trial_index));
   w.u64(seed);
   w.u32(static_cast<std::uint32_t>(events.size()));
   for (const auto& event : events) encode_event(w, event);
-  const auto frame = frame_payload(kSnapshotMagic, payload);
+  const auto frame = encode_frame(kSnapshotMagic, payload);
 
   // Write-temp-then-rename: the snapshot at `path` is always either a
   // previous complete snapshot or this one — never a torn mix. No fsync:
@@ -210,32 +197,14 @@ void write_flight_snapshot(const std::string& path, std::size_t trial_index,
 }
 
 std::optional<FlightSnapshot> load_flight_snapshot(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return std::nullopt;
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof chunk, file)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
-  std::fclose(file);
-
-  if (bytes.size() < kFrameHeaderBytes + kCrcBytes) return std::nullopt;
-  ByteReader header{std::span<const std::uint8_t>{bytes}.first(
-      kFrameHeaderBytes)};
-  if (header.u16() != kSnapshotMagic) return std::nullopt;
-  const std::uint32_t length = header.u32();
-  if (bytes.size() != kFrameHeaderBytes + length + kCrcBytes) {
+  const std::vector<std::uint8_t> bytes = read_file(path);
+  const FrameView frame = read_frame(bytes, kMaxFrameBytes);
+  if (frame.status != FrameStatus::kOk || frame.magic != kSnapshotMagic ||
+      frame.size != bytes.size()) {
     return std::nullopt;
   }
-  const std::span<const std::uint8_t> payload{
-      bytes.data() + kFrameHeaderBytes, length};
-  ByteReader crc_reader{std::span<const std::uint8_t>{
-      bytes.data() + kFrameHeaderBytes + length, kCrcBytes}};
-  if (crc_reader.u16() != crc16(payload)) return std::nullopt;
-
-  ByteReader r{payload};
-  if (r.u8() != kPipeVersion) return std::nullopt;
+  ByteReader r{frame.payload};
+  if (r.u8() != kSnapshotVersion) return std::nullopt;
   FlightSnapshot snap;
   snap.trial_index = r.u32();
   snap.seed = r.u64();

@@ -18,9 +18,9 @@
 //   * Everything rides that socket as CRC-framed records: status frames
 //     ("FW", below) for trial start/done/failed, results as journal
 //     frames ("FJ", journal.hpp), lease control frames ("FT",
-//     transport.hpp). The coordinator appends each result to its own
-//     crash-safe journal shard the moment it arrives, so a coordinator
-//     SIGKILL loses nothing a worker reported. A worker whose
+//     transport.hpp). The coordinator records each result in the
+//     campaign journal (journal.hpp) the moment it arrives, so a
+//     coordinator SIGKILL loses nothing a worker reported. A worker whose
 //     coordinator is gone exits at its next write.
 //   * The coordinator reaps deaths with waitpid and converts fatal
 //     signals / nonzero exits / torn frames into FailureKind::kHardCrash,
@@ -31,7 +31,7 @@
 //     campaign instead of wedging it.
 //   * The final CampaignReport is bit-identical to a single-process run
 //     for every surviving trial, at any --workers / --threads
-//     combination, and so is the compacted --journal file.
+//     combination, and so is the --journal file.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +52,7 @@ namespace fourbit::runner {
 // What a worker or host agent reports about its trials, one frame each:
 //     magic   u16  0x4657 ("FW")
 //     length  u32  payload byte count
-//     payload      version u8 | kind u8 | worker u32 | trial_index u32
+//     payload      version u8 | kind u8 | trial_index u32
 //                  | seed u64 | attempt u32 | failure_kind u8
 //                  | retried_total u32 | what (u32 + bytes)
 //                  | flight (u32 + 37-byte events)
@@ -71,7 +71,6 @@ enum class WorkerRecordKind : std::uint8_t {
 
 struct WorkerRecord {
   WorkerRecordKind kind = WorkerRecordKind::kHeartbeat;
-  std::uint32_t worker = 0;
   std::uint32_t trial_index = 0;
   std::uint64_t seed = 0;
   std::uint32_t attempt = 0;       // attempts consumed by this trial
@@ -131,7 +130,7 @@ void write_flight_snapshot(const std::string& path, std::size_t trial_index,
 
 struct MultiprocessOptions {
   /// Trial-level policy (threads = per-worker threads; journal_path =
-  /// the main journal stem, also where shards live; on_trial_start and
+  /// the main journal stem, its shard next to it; on_trial_start and
   /// on_trial_done fire on the coordinator as workers report).
   SupervisorOptions supervisor;
   std::size_t workers = 1;

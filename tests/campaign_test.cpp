@@ -1,6 +1,7 @@
-// Tests of the parallel campaign runner: seed derivation, result
-// ordering, progress reporting, and the determinism contract (a sweep is
-// bit-identical no matter how many worker threads execute it).
+// Tests of the campaign building blocks: seed derivation, result
+// ordering, progress reporting, and the determinism contract (a sweep run
+// by run_supervised on N threads is bit-identical to running its trials
+// one after another).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "runner/campaign.hpp"
+#include "runner/supervisor.hpp"
 #include "sim/rng.hpp"
 #include "topology/topology.hpp"
 
@@ -45,6 +47,23 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.final_tree.depths, b.final_tree.depths);
 }
 
+/// The reference every threaded run must match: no threads at all.
+std::vector<ExperimentResult> run_serially(
+    const std::vector<ExperimentConfig>& trials) {
+  std::vector<ExperimentResult> results;
+  for (const auto& trial : trials) results.push_back(run_experiment(trial));
+  return results;
+}
+
+std::vector<ExperimentResult> run_threaded(
+    const std::vector<ExperimentConfig>& trials, std::size_t threads) {
+  SupervisorOptions options;
+  options.threads = threads;
+  CampaignReport report = run_supervised(trials, options);
+  EXPECT_TRUE(report.all_completed());
+  return std::move(report.results);
+}
+
 TEST(CampaignTest, SeedSweepDerivesSeedsFromBasePlusIndex) {
   ExperimentConfig base;
   base.seed = 100;
@@ -56,21 +75,15 @@ TEST(CampaignTest, SeedSweepDerivesSeedsFromBasePlusIndex) {
 }
 
 TEST(CampaignTest, EmptyTrialListYieldsEmptyResults) {
-  EXPECT_TRUE(Campaign::run({}).empty());
+  EXPECT_TRUE(run_supervised({}, SupervisorOptions{}).results.empty());
 }
 
-// The acceptance contract: the same sweep on 1 thread and on N threads
+// The acceptance contract: the same sweep run serially and on N threads
 // produces bit-identical per-trial results (and therefore aggregates).
 TEST(CampaignTest, ThreadCountDoesNotChangeResults) {
   const auto trials = Campaign::seed_sweep(small_trial(42), 6);
-
-  Campaign::Options serial;
-  serial.threads = 1;
-  const auto a = Campaign::run(trials, serial);
-
-  Campaign::Options parallel;
-  parallel.threads = 4;
-  const auto b = Campaign::run(trials, parallel);
+  const auto a = run_serially(trials);
+  const auto b = run_threaded(trials, 4);
 
   ASSERT_EQ(a.size(), trials.size());
   ASSERT_EQ(b.size(), trials.size());
@@ -95,14 +108,9 @@ TEST(CampaignTest, QueueImplAndThreadCountDoNotChangeResults) {
   auto heap_trials = cal_trials;
   for (auto& t : heap_trials) t.sim.use_calendar_queue = false;
 
-  Campaign::Options serial;
-  serial.threads = 1;
-  Campaign::Options parallel;
-  parallel.threads = 4;
-
-  const auto cal1 = Campaign::run(cal_trials, serial);
-  const auto cal4 = Campaign::run(cal_trials, parallel);
-  const auto heap1 = Campaign::run(heap_trials, serial);
+  const auto cal1 = run_serially(cal_trials);
+  const auto cal4 = run_threaded(cal_trials, 4);
+  const auto heap1 = run_serially(heap_trials);
 
   ASSERT_EQ(cal1.size(), cal_trials.size());
   for (std::size_t i = 0; i < cal_trials.size(); ++i) {
@@ -156,9 +164,7 @@ TEST(CampaignTest, ResultsIndexedByTrialNotCompletionOrder) {
   // Distinct seeds make distinct results; re-running any single trial
   // alone must reproduce the slot the campaign assigned it.
   const auto trials = Campaign::seed_sweep(small_trial(7), 3);
-  Campaign::Options options;
-  options.threads = 3;
-  const auto all = Campaign::run(trials, options);
+  const auto all = run_threaded(trials, 3);
   const auto solo = run_experiment(trials[1]);
   expect_identical(all[1], solo);
 }
@@ -167,10 +173,10 @@ TEST(CampaignTest, ProgressCallbackSeesEveryTrialExactlyOnce) {
   const auto trials = Campaign::seed_sweep(small_trial(3), 4);
   std::vector<std::size_t> indices;
   std::vector<std::size_t> completed;
-  Campaign::Options options;
+  SupervisorOptions options;
   options.threads = 2;
   options.on_trial_done = [&](const TrialProgress& p) {
-    // Serialized by the campaign's progress mutex: no locking needed.
+    // Serialized by the supervisor's progress mutex: no locking needed.
     indices.push_back(p.trial_index);
     completed.push_back(p.completed);
     EXPECT_EQ(p.total, 4u);
@@ -178,7 +184,7 @@ TEST(CampaignTest, ProgressCallbackSeesEveryTrialExactlyOnce) {
     ASSERT_NE(p.result, nullptr);
     EXPECT_EQ(p.config->seed, trials[p.trial_index].seed);
   };
-  (void)Campaign::run(trials, options);
+  EXPECT_TRUE(run_supervised(trials, options).all_completed());
 
   std::sort(indices.begin(), indices.end());
   EXPECT_EQ(indices, (std::vector<std::size_t>{0, 1, 2, 3}));

@@ -18,6 +18,7 @@
 #include "phy/radio.hpp"
 #include "runner/campaign.hpp"
 #include "runner/experiment.hpp"
+#include "runner/supervisor.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "topology/topology.hpp"
@@ -374,15 +375,23 @@ TEST(ChannelFastPathTest, CampaignBitIdenticalAcrossPathsAndThreads) {
   auto trials = [](bool fast) {
     return runner::Campaign::seed_sweep(small_config(fast, 21), 3);
   };
-  runner::Campaign::Options one;
-  one.threads = 1;
-  runner::Campaign::Options four;
-  four.threads = 4;
+  const auto serial = [](const std::vector<runner::ExperimentConfig>& list) {
+    std::vector<runner::ExperimentResult> results;
+    for (const auto& trial : list) {
+      results.push_back(runner::run_experiment(trial));
+    }
+    return results;
+  };
+  const auto threaded = [](const std::vector<runner::ExperimentConfig>& list) {
+    runner::SupervisorOptions four;
+    four.threads = 4;
+    return runner::run_supervised(list, four).results;
+  };
 
-  const auto fast1 = runner::Campaign::run(trials(true), one);
-  const auto fast4 = runner::Campaign::run(trials(true), four);
-  const auto slow1 = runner::Campaign::run(trials(false), one);
-  const auto slow4 = runner::Campaign::run(trials(false), four);
+  const auto fast1 = serial(trials(true));
+  const auto fast4 = threaded(trials(true));
+  const auto slow1 = serial(trials(false));
+  const auto slow4 = threaded(trials(false));
   ASSERT_EQ(fast1.size(), 3u);
   for (std::size_t i = 0; i < fast1.size(); ++i) {
     expect_identical(fast1[i], fast4[i]);  // threads don't matter

@@ -20,6 +20,7 @@
 #include "phy/radio.hpp"
 #include "runner/campaign.hpp"
 #include "runner/experiment.hpp"
+#include "runner/supervisor.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "topology/topology.hpp"
@@ -551,14 +552,20 @@ TEST(ChannelSparseTest, CampaignBitIdenticalAcrossPathsAndThreads) {
   auto trials = [](Mode mode) {
     return runner::Campaign::seed_sweep(small_config(mode, 21), 3);
   };
-  runner::Campaign::Options one;
-  one.threads = 1;
-  runner::Campaign::Options four;
+  const auto serial = [](const std::vector<runner::ExperimentConfig>& list) {
+    std::vector<runner::ExperimentResult> results;
+    for (const auto& trial : list) {
+      results.push_back(runner::run_experiment(trial));
+    }
+    return results;
+  };
+  runner::SupervisorOptions four;
   four.threads = 4;
 
-  const auto sparse1 = runner::Campaign::run(trials(Mode::kSparse), one);
-  const auto sparse4 = runner::Campaign::run(trials(Mode::kSparse), four);
-  const auto dense1 = runner::Campaign::run(trials(Mode::kDense), one);
+  const auto sparse1 = serial(trials(Mode::kSparse));
+  const auto sparse4 =
+      runner::run_supervised(trials(Mode::kSparse), four).results;
+  const auto dense1 = serial(trials(Mode::kDense));
   ASSERT_EQ(sparse1.size(), 3u);
   for (std::size_t i = 0; i < sparse1.size(); ++i) {
     expect_identical(sparse1[i], sparse4[i]);  // threads don't matter

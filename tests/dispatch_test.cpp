@@ -334,7 +334,6 @@ TEST(ControlCodecTest, RoundTripsEveryKind) {
 TEST(TransportParserTest, DemultiplexesMixedMagicsInOrder) {
   WorkerRecord status;
   status.kind = WorkerRecordKind::kTrialStart;
-  status.worker = 3;
   status.trial_index = 7;
   status.seed = 107;
   JournalEntry entry{7, 107, synthetic_result(107)};
@@ -392,10 +391,8 @@ TEST(TransportParserTest, BadCrcLatchesCorrupt) {
 TEST(TransportParserTest, ReassemblesStatusFramesFedByteByByte) {
   WorkerRecord a;
   a.kind = WorkerRecordKind::kHeartbeat;
-  a.worker = 1;
   WorkerRecord b;
   b.kind = WorkerRecordKind::kTrialDone;
-  b.worker = 1;
   b.trial_index = 5;
   b.seed = 99;
   b.attempt = 1;
@@ -734,11 +731,8 @@ TEST(DispatchTest, CleanTwoHostRunMatchesSingleProcess) {
   // the single-process journal.
   EXPECT_EQ(slurp(stem), slurp(ref_stem));
   EXPECT_FALSE(slurp(stem).empty());
-  // No shard files survive the compaction.
-  EXPECT_FALSE(std::filesystem::exists(
-      TrialJournal::shard_path(stem, kRemoteShardId)));
-  EXPECT_FALSE(std::filesystem::exists(
-      TrialJournal::shard_path(stem, kLocalShardId)));
+  // No shard file survives the compaction.
+  EXPECT_FALSE(std::filesystem::exists(CampaignJournal::shard_path(stem)));
   std::filesystem::remove(stem);
   std::filesystem::remove(ref_stem);
 }

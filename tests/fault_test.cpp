@@ -14,6 +14,7 @@
 #include "runner/experiment.hpp"
 #include "runner/faults.hpp"
 #include "runner/network.hpp"
+#include "runner/supervisor.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulator.hpp"
 #include "stats/metrics.hpp"
@@ -440,12 +441,13 @@ TEST(FaultCampaignTest, ThreadCountDoesNotChangeFaultedResults) {
   base.faults.window_end = at_s(200.0);
   const auto trials = runner::Campaign::seed_sweep(base, 4);
 
-  runner::Campaign::Options serial;
-  serial.threads = 1;
-  runner::Campaign::Options pooled;
+  std::vector<runner::ExperimentResult> a;
+  for (const auto& trial : trials) a.push_back(runner::run_experiment(trial));
+  runner::SupervisorOptions pooled;
   pooled.threads = 4;
-  const auto a = runner::Campaign::run(trials, serial);
-  const auto b = runner::Campaign::run(trials, pooled);
+  const auto report = runner::run_supervised(trials, pooled);
+  ASSERT_TRUE(report.all_completed());
+  const auto& b = report.results;
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].generated, b[i].generated) << "trial " << i;

@@ -1,17 +1,22 @@
 // Tests of the campaign supervision layer: the failure taxonomy
 // (assert / exception / timeout / invariant), per-trial isolation across
 // thread counts, retry policies, the crash-safe journal (including torn
-// records after a SIGKILL-style truncation), the invariant auditor, and
-// the hardened bench CLI helpers.
+// records after a SIGKILL-style truncation, a SIGKILLed run resuming
+// from its shard, and journal bytes that ignore --threads), the
+// invariant auditor, and the hardened bench CLI helpers.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -59,10 +64,12 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.delivery_during_outage, b.delivery_during_outage);
 }
 
-Campaign::Options campaign_threads(std::size_t threads) {
-  Campaign::Options options;
-  options.threads = threads;
-  return options;
+/// The unsupervised baseline: every trial in turn on this thread.
+std::vector<ExperimentResult> run_serially(
+    const std::vector<ExperimentConfig>& trials) {
+  std::vector<ExperimentResult> results;
+  for (const auto& trial : trials) results.push_back(run_experiment(trial));
+  return results;
 }
 
 SupervisorOptions supervisor_threads(std::size_t threads) {
@@ -161,7 +168,7 @@ TEST(SimBudgetTest, UnlimitedBudgetRunsToCompletion) {
 
 TEST(SupervisorTest, ThrowingTrialBecomesExceptionFailure) {
   const auto trials = Campaign::seed_sweep(small_trial(42), 4);
-  const auto baseline = Campaign::run(trials, campaign_threads(1));
+  const auto baseline = run_serially(trials);
 
   for (const std::size_t threads : {1u, 4u}) {
     SupervisorOptions options;
@@ -270,7 +277,7 @@ TEST(SupervisorTest, InvariantViolationIsClassified) {
 
 TEST(SupervisorTest, SupervisedCleanCampaignMatchesUnsupervised) {
   const auto trials = Campaign::seed_sweep(small_trial(90), 4);
-  const auto baseline = Campaign::run(trials, campaign_threads(2));
+  const auto baseline = run_serially(trials);
   const auto report = run_supervised(trials, supervisor_threads(4));
 
   EXPECT_TRUE(report.all_completed());
@@ -387,7 +394,7 @@ TEST(JournalTest, RoundTripsResultsBitExactly) {
   std::filesystem::remove(path);
 
   const auto trials = Campaign::seed_sweep(small_trial(140), 2);
-  const auto baseline = Campaign::run(trials, campaign_threads(1));
+  const auto baseline = run_serially(trials);
   {
     auto journal = TrialJournal::open_append(path);
     journal.append(0, trials[0].seed, baseline[0]);
@@ -415,7 +422,7 @@ TEST(JournalTest, TornLastRecordIsDetectedAndDropped) {
   std::filesystem::remove(path);
 
   const auto trials = Campaign::seed_sweep(small_trial(150), 2);
-  const auto baseline = Campaign::run(trials, campaign_threads(1));
+  const auto baseline = run_serially(trials);
   {
     auto journal = TrialJournal::open_append(path);
     journal.append(0, trials[0].seed, baseline[0]);
@@ -438,7 +445,7 @@ TEST(JournalTest, CorruptPayloadFailsCrcAndStopsReplay) {
   std::filesystem::remove(path);
 
   const auto trials = Campaign::seed_sweep(small_trial(160), 2);
-  const auto baseline = Campaign::run(trials, campaign_threads(1));
+  const auto baseline = run_serially(trials);
   {
     auto journal = TrialJournal::open_append(path);
     journal.append(0, trials[0].seed, baseline[0]);
@@ -467,7 +474,7 @@ TEST(SupervisorTest, JournaledCampaignResumesBitIdentical) {
   std::filesystem::remove(path);
 
   const auto trials = Campaign::seed_sweep(small_trial(170), 4);
-  const auto baseline = Campaign::run(trials, campaign_threads(1));
+  const auto baseline = run_serially(trials);
 
   // First launch: trial 3 dies, the other three are journaled.
   {
@@ -522,7 +529,7 @@ TEST(SupervisorTest, ResumeAfterTornRecordRerunsOnlyTornTrial) {
   std::filesystem::remove(path);
 
   const auto trials = Campaign::seed_sweep(small_trial(180), 3);
-  const auto baseline = Campaign::run(trials, campaign_threads(1));
+  const auto baseline = run_serially(trials);
   {
     SupervisorOptions options;
     options.threads = 1;
@@ -560,7 +567,7 @@ TEST(SupervisorTest, JournalRecordsWithForeignSeedsAreIgnored) {
   std::filesystem::remove(path);
 
   const auto trials = Campaign::seed_sweep(small_trial(190), 2);
-  const auto baseline = Campaign::run(trials, campaign_threads(1));
+  const auto baseline = run_serially(trials);
   {
     // A journal written by a different campaign: same indices, other
     // seeds. Trusting it would silently splice foreign results in.
@@ -579,6 +586,111 @@ TEST(SupervisorTest, JournalRecordsWithForeignSeedsAreIgnored) {
   EXPECT_TRUE(report.all_completed());
   expect_identical(report.results[0], baseline[0]);
   std::filesystem::remove(path);
+}
+
+TEST(SupervisorTest, JournalBytesIdenticalAcrossThreadCounts) {
+  // On four threads the later trials finish first; the journal must not
+  // record that order.
+  const auto trials = Campaign::seed_sweep(small_trial(230), 4);
+  const auto journal_bytes = [&](std::size_t threads) {
+    const std::string path =
+        temp_path(("threads" + std::to_string(threads)).c_str());
+    std::filesystem::remove(path);
+    SupervisorOptions options;
+    options.threads = threads;
+    options.journal_path = path;
+    options.run_trial = [&](const ExperimentConfig& cfg) {
+      const auto later = trials.back().seed - cfg.seed;
+      std::this_thread::sleep_for(std::chrono::milliseconds(60 * later));
+      return run_experiment(cfg);
+    };
+    EXPECT_TRUE(run_supervised(trials, options).all_completed());
+    EXPECT_FALSE(std::filesystem::exists(CampaignJournal::shard_path(path)));
+    auto bytes = read_file(path);
+    std::filesystem::remove(path);
+    return bytes;
+  };
+  const auto serial = journal_bytes(1);
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(serial, journal_bytes(4));
+}
+
+TEST(SupervisorTest, SigkilledRunResumesFromTheShardBitIdentical) {
+  const std::string path = temp_path("sigkill");
+  const std::string ref_path = temp_path("sigkill_ref");
+  for (const auto& p : {path, ref_path}) {
+    std::filesystem::remove(p);
+    std::filesystem::remove(CampaignJournal::shard_path(p));
+  }
+  const auto trials = Campaign::seed_sweep(small_trial(240), 6);
+
+  // First launch, in a fork: trials 0-2 finish and say so through a
+  // pipe, trials 3+ hang until the SIGKILL.
+  int progress[2];
+  ASSERT_EQ(::pipe(progress), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::close(progress[0]);
+    SupervisorOptions options;
+    options.threads = 2;
+    options.journal_path = path;
+    options.run_trial = [&](const ExperimentConfig& cfg) {
+      if (cfg.seed >= trials[3].seed) {
+        std::this_thread::sleep_for(std::chrono::seconds(60));
+      }
+      return run_experiment(cfg);
+    };
+    options.on_trial_done = [&](const TrialProgress&) {
+      const char byte = 1;
+      (void)!::write(progress[1], &byte, 1);
+    };
+    (void)run_supervised(trials, options);
+    ::_exit(0);
+  }
+  ::close(progress[1]);
+  std::size_t reported = 0;
+  char byte = 0;
+  while (reported < 3 && ::read(progress[0], &byte, 1) == 1) ++reported;
+  ::kill(child, SIGKILL);
+  ::waitpid(child, nullptr, 0);
+  ::close(progress[0]);
+  ASSERT_EQ(reported, 3u);
+  // The three results are durable in the shard; the main journal is
+  // only extended when a campaign finishes.
+  EXPECT_EQ(TrialJournal::load(CampaignJournal::shard_path(path))
+                .entries.size(),
+            3u);
+  EXPECT_TRUE(TrialJournal::load(path).entries.empty());
+
+  // Relaunch: only the three unfinished trials run, and results and
+  // journal bytes equal an uninterrupted single-thread run's.
+  std::atomic<int> executed{0};
+  SupervisorOptions options;
+  options.threads = 3;
+  options.journal_path = path;
+  options.run_trial = [&](const ExperimentConfig& cfg) {
+    ++executed;
+    return run_experiment(cfg);
+  };
+  const auto report = run_supervised(trials, options);
+  EXPECT_TRUE(report.all_completed());
+  EXPECT_EQ(report.replayed, 3u);
+  EXPECT_EQ(executed.load(), 3);
+  const auto baseline = run_serially(trials);
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    ASSERT_TRUE(report.completed[i]);
+    expect_identical(report.results[i], baseline[i]);
+  }
+
+  SupervisorOptions reference;
+  reference.threads = 1;
+  reference.journal_path = ref_path;
+  EXPECT_TRUE(run_supervised(trials, reference).all_completed());
+  EXPECT_EQ(read_file(path), read_file(ref_path));
+  EXPECT_FALSE(std::filesystem::exists(CampaignJournal::shard_path(path)));
+  std::filesystem::remove(path);
+  std::filesystem::remove(ref_path);
 }
 
 // ---- invariant auditor -------------------------------------------------

@@ -1,6 +1,6 @@
 // Tests of the multi-process campaign pool (runner/worker.hpp): the
 // status-record codec, index-span formatting, flight-recorder
-// snapshots, legacy journal-shard merge semantics, Backoff determinism,
+// snapshots, the campaign journal's shard, Backoff determinism,
 // the --workers CLI surface, end-to-end coordinator runs against
 // workers that deliberately SIGSEGV, OOM, hang, exit nonzero, freeze,
 // and corrupt their socket mid-record, and a worker's own exit when its
@@ -256,7 +256,6 @@ CampaignReport reference_report(std::size_t n, std::uint64_t base) {
 TEST(WorkerRecordCodecTest, RoundTripsEveryField) {
   WorkerRecord rec;
   rec.kind = WorkerRecordKind::kTrialFailed;
-  rec.worker = 7;
   rec.trial_index = 42;
   rec.seed = 0xDEADBEEFCAFE1234ULL;
   rec.attempt = 3;
@@ -283,7 +282,6 @@ TEST(WorkerRecordCodecTest, RoundTripsEveryField) {
   ASSERT_EQ(parsed->type, TransportFrame::Type::kStatus);
   const WorkerRecord* out = &parsed->record;
   EXPECT_EQ(out->kind, WorkerRecordKind::kTrialFailed);
-  EXPECT_EQ(out->worker, 7u);
   EXPECT_EQ(out->trial_index, 42u);
   EXPECT_EQ(out->seed, 0xDEADBEEFCAFE1234ULL);
   EXPECT_EQ(out->attempt, 3u);
@@ -467,54 +465,33 @@ TEST(SupervisorSubsetTest, RunsOnlyAssignedIndices) {
 
 // ---- journal shard merge ----------------------------------------------
 
-TEST(ShardMergeTest, MergesShardsNumericallyLastCompleteRecordWins) {
-  const std::string stem = temp_stem("merge");
-  const auto w0 = TrialJournal::shard_path(stem, 0);
-  const auto w2 = TrialJournal::shard_path(stem, 2);
-  const auto w10 = TrialJournal::shard_path(stem, 10);
-  {
-    auto j0 = TrialJournal::open_append(w0);
-    j0.append(1, 101, synthetic_result(101));
-    j0.append(5, 105, synthetic_result(1));  // will be overridden by w2
-    auto j2 = TrialJournal::open_append(w2);
-    j2.append(5, 105, synthetic_result(105));
-    j2.append(5, 105, synthetic_result(2));  // duplicate in-shard: last wins
-    auto j10 = TrialJournal::open_append(w10);
-    j10.append(5, 105, synthetic_result(3));  // numeric order: w10 after w2
-    j10.append(7, 107, synthetic_result(107));
-  }
-  const auto merged = TrialJournal::merge_shards(stem);
-  EXPECT_EQ(merged.shards, 3u);
-  EXPECT_EQ(merged.records, 6u);
-  EXPECT_FALSE(merged.torn);
-  ASSERT_EQ(merged.entries.size(), 3u);
-  for (const auto& entry : merged.entries) {
-    if (entry.trial_index == 5) {
-      expect_identical(entry.result, synthetic_result(3));
-    }
-  }
-  for (const auto& path : {w0, w2, w10}) std::remove(path.c_str());
-}
-
 TEST(ShardMergeTest, ToleratesTornShardTail) {
   const std::string stem = temp_stem("torn");
-  const auto w0 = TrialJournal::shard_path(stem, 0);
+  const auto shard = CampaignJournal::shard_path(stem);
   {
-    auto journal = TrialJournal::open_append(w0);
+    auto journal = TrialJournal::open_append(shard);
     journal.append(0, 200, synthetic_result(200));
   }
   {
-    std::FILE* file = std::fopen(w0.c_str(), "ab");
+    std::FILE* file = std::fopen(shard.c_str(), "ab");
     ASSERT_NE(file, nullptr);
     const std::uint8_t torn[5] = {0x46, 0x4A, 0x00, 0x00, 0x01};
     std::fwrite(torn, 1, sizeof torn, file);
     std::fclose(file);
   }
-  const auto merged = TrialJournal::merge_shards(stem);
-  EXPECT_TRUE(merged.torn);
-  ASSERT_EQ(merged.entries.size(), 1u);
-  EXPECT_EQ(merged.entries[0].trial_index, 0u);
-  std::remove(w0.c_str());
+  const auto trials = scenario_trials(2, 200);
+  CampaignReport report;
+  report.results.resize(trials.size());
+  report.completed.assign(trials.size(), 0);
+  CampaignJournal journal{stem, trials, report};
+  EXPECT_TRUE(report.journal_torn);
+  EXPECT_EQ(report.replayed, 1u);
+  EXPECT_EQ(report.completed, (std::vector<std::uint8_t>{1, 0}));
+  expect_identical(report.results[0], synthetic_result(200));
+  journal.finish(report);
+  EXPECT_EQ(TrialJournal::load(stem).entries.size(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(shard));
+  std::remove(stem.c_str());
 }
 
 TEST(ShardMergeTest, AppendAfterTornTailTruncatesAndStaysReadable) {
@@ -544,24 +521,6 @@ TEST(ShardMergeTest, AppendAfterTornTailTruncatesAndStaysReadable) {
   EXPECT_EQ(loaded.entries[1].trial_index, 1u);
   expect_identical(loaded.entries[1].result, synthetic_result(701));
   std::remove(path.c_str());
-}
-
-TEST(ShardMergeTest, IgnoresNonShardSiblings) {
-  const std::string stem = temp_stem("sibling");
-  const auto w1 = TrialJournal::shard_path(stem, 1);
-  const std::string decoy = stem + ".wx.journal";
-  {
-    auto journal = TrialJournal::open_append(w1);
-    journal.append(3, 303, synthetic_result(303));
-    auto bogus = TrialJournal::open_append(decoy);
-    bogus.append(9, 909, synthetic_result(909));
-  }
-  const auto merged = TrialJournal::merge_shards(stem);
-  EXPECT_EQ(merged.shards, 1u);
-  ASSERT_EQ(merged.entries.size(), 1u);
-  EXPECT_EQ(merged.entries[0].trial_index, 3u);
-  std::remove(w1.c_str());
-  std::remove(decoy.c_str());
 }
 
 // ---- CLI surface ------------------------------------------------------
@@ -795,9 +754,9 @@ TEST(MultiprocessTest, ResumesFromShardsCompactsAndRejectsForeignSeeds) {
   const std::uint64_t base = 1200;
   const std::size_t n = 6;
   {
-    // A prior coordinator (SIGKILLed, say) left a shard with trials
+    // A prior coordinator (SIGKILLed, say) left its shard with trials
     // 0-2 done, one foreign-seed record for trial 3, and a torn tail.
-    auto shard = TrialJournal::open_append(TrialJournal::shard_path(stem, 0));
+    auto shard = TrialJournal::open_append(CampaignJournal::shard_path(stem));
     for (std::uint32_t i = 0; i < 3; ++i) {
       shard.append(i, base + i, synthetic_result(base + i));
     }
@@ -806,8 +765,8 @@ TEST(MultiprocessTest, ResumesFromShardsCompactsAndRejectsForeignSeeds) {
     shard.append(3, 31337, poison);  // wrong seed: must NOT be replayed
   }
   {
-    std::FILE* file = std::fopen(
-        TrialJournal::shard_path(stem, 0).c_str(), "ab");
+    std::FILE* file =
+        std::fopen(CampaignJournal::shard_path(stem).c_str(), "ab");
     ASSERT_NE(file, nullptr);
     const std::uint8_t torn[4] = {0x46, 0x4A, 0x00, 0x00};
     std::fwrite(torn, 1, sizeof torn, file);
@@ -827,10 +786,9 @@ TEST(MultiprocessTest, ResumesFromShardsCompactsAndRejectsForeignSeeds) {
   }
   EXPECT_NE(report.results[3].cost, 999.0);  // foreign record rejected
 
-  // Compaction: shards are gone, the main journal holds everything, and
-  // a re-run replays it all without spawning a single trial.
-  EXPECT_FALSE(std::filesystem::exists(TrialJournal::shard_path(stem, 0)));
-  EXPECT_FALSE(std::filesystem::exists(TrialJournal::shard_path(stem, 1)));
+  // Compaction: the shard is gone, the main journal holds everything,
+  // and a re-run replays it all without spawning a single trial.
+  EXPECT_FALSE(std::filesystem::exists(CampaignJournal::shard_path(stem)));
   const auto again =
       run_multiprocess(trials, mp_options("clean", n, base, 3, stem));
   EXPECT_EQ(again.replayed, 6u);
