@@ -129,17 +129,17 @@ std::string worker_death_what(const Peer& p, Death death, int sig, int code,
 /// worker flags, with its end of a socketpair as --worker-fd. Returns
 /// the coordinator's end (nonblocking, close-on-exec, so no other
 /// worker inherits it and a coordinator death reaches every worker).
-int spawn_worker(const MultiprocessOptions& pool, const std::string& flight,
+int spawn_worker(const DispatchOptions& options, const std::string& flight,
                  pid_t& pid) {
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
-    throw std::runtime_error("run_multiprocess: socketpair() failed");
+    throw std::runtime_error("dispatch_campaign: socketpair() failed");
   }
-  std::vector<std::string> args = pool.exec_argv;
+  std::vector<std::string> args = options.exec_argv;
   args.insert(args.end(),
               {"--worker-fd", std::to_string(fds[1]), "--worker-flight",
                flight, "--worker-heartbeat-ms",
-               std::to_string(pool.heartbeat_interval_ms)});
+               std::to_string(options.heartbeat_interval_ms)});
   std::vector<char*> argp;
   argp.reserve(args.size() + 1);
   for (auto& arg : args) argp.push_back(arg.data());
@@ -149,7 +149,7 @@ int spawn_worker(const MultiprocessOptions& pool, const std::string& flight,
   if (pid < 0) {
     ::close(fds[0]);
     ::close(fds[1]);
-    throw std::runtime_error("run_multiprocess: fork() failed");
+    throw std::runtime_error("dispatch_campaign: fork() failed");
   }
   if (pid == 0) {
     ::fcntl(fds[1], F_SETFD, 0);  // the worker's end survives exec
@@ -168,19 +168,24 @@ int spawn_worker(const MultiprocessOptions& pool, const std::string& flight,
   return fds[0];
 }
 
-/// The one coordinator loop behind run_distributed (pool == nullptr:
-/// the peers are options.hosts) and run_multiprocess (the peers are
-/// pool->workers local worker processes).
-CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
-                          const DispatchOptions& options,
-                          const MultiprocessOptions* pool) {
-  namespace fs = std::filesystem;
-  ignore_sigpipe();
+}  // namespace
 
+CampaignReport dispatch_campaign(const std::vector<ExperimentConfig>& trials,
+                                 const DispatchOptions& options) {
+  namespace fs = std::filesystem;
   CampaignReport report;
   report.results.resize(trials.size());
   report.completed.assign(trials.size(), 0);
   if (trials.empty()) return report;
+
+  // The peers: the hosts, or else `workers` local worker processes, or
+  // none — an in-process run, whose local pass below runs every trial.
+  const bool local_workers = options.hosts.empty() && options.workers > 0;
+  if (local_workers && options.exec_argv.empty()) {
+    throw std::runtime_error(
+        "dispatch_campaign: workers need exec_argv (pass "
+        "CampaignCli::exec_argv)");
+  }
 
   const bool user_journal = !options.supervisor.journal_path.empty();
   const std::string stem = options.supervisor.journal_path;
@@ -196,7 +201,7 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
   // directory removed at the end.
   fs::path temp_dir;
   std::string flight_stem = stem;
-  if (pool != nullptr && !user_journal) {
+  if (local_workers && !user_journal) {
     temp_dir = fs::temp_directory_path() /
                ("fourbit-mp-" + std::to_string(::getpid()));
     std::error_code ec;
@@ -224,17 +229,18 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
   };
 
   std::vector<Peer> peers;
-  if (pool != nullptr) {
+  if (local_workers) {
     peers.resize(std::clamp<std::size_t>(
-        pool->workers, 1, std::max<std::size_t>(1, owed.size())));
+        options.workers, 1, std::max<std::size_t>(1, owed.size())));
   } else {
     peers.resize(options.hosts.size());
   }
   for (std::size_t k = 0; k < peers.size(); ++k) {
     peers[k].index = k;
-    peers[k].local = pool != nullptr;
-    if (pool == nullptr) peers[k].addr = options.hosts[k];
+    peers[k].local = local_workers;
+    if (!local_workers) peers[k].addr = options.hosts[k];
   }
+  if (!peers.empty()) ignore_sigpipe();
 
   std::map<std::size_t, std::size_t> crash_counts;
   std::size_t progress_done = static_cast<std::size_t>(report.replayed);
@@ -314,18 +320,24 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
   // records, plus each live session's forwarded view. A caller's board
   // (a host agent's lease) is fed instead when given. Peer views are
   // keyed past the last trial index, so they never collide with the
-  // local fallback's per-trial views.
+  // local pass's per-trial views.
   StatusBoard own_board;
   StatusBoard& status_board = options.supervisor.status != nullptr
                                   ? *options.supervisor.status
                                   : own_board;
   const auto live_key = [&](const Peer& p) { return trials.size() + p.index; };
 
-  // Retires a peer after max_host_failures fruitless sessions in a row,
-  // else schedules its restart. The jitter seed is campaign-stable but
-  // peer-distinct, so a fleet of lost peers never comes back in lockstep.
+  // Retires a peer after a run of fruitless sessions (a host after
+  // max_host_failures; a worker after max(2, max_trial_crashes), since
+  // one that keeps dying before reporting anything is the pool's crash
+  // loop), else schedules its restart. The jitter seed is
+  // campaign-stable but peer-distinct, so a fleet of lost peers never
+  // comes back in lockstep.
+  const std::size_t retire_after =
+      local_workers ? std::max<std::size_t>(2, options.max_trial_crashes)
+                    : options.max_host_failures;
   const auto back_off = [&](Peer& p, const std::string& why) {
-    if (p.fruitless >= options.max_host_failures) {
+    if (p.fruitless >= retire_after) {
       p.retired = true;
       std::fprintf(stderr,
                    "fourbit-dispatch: retiring %s %s after %zu fruitless "
@@ -338,7 +350,7 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
         trials.front().seed + 0x9E3779B97F4A7C15ULL * (p.index + 1);
     p.restart_at =
         Clock::now() +
-        std::chrono::milliseconds(options.reconnect_backoff.delay_ms(
+        std::chrono::milliseconds(options.restart_backoff.delay_ms(
             std::max<std::size_t>(1, p.fruitless), seed));
   };
 
@@ -413,7 +425,7 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
 
   const auto start_peer = [&](Peer& p) {
     if (p.local) {
-      p.fd = spawn_worker(*pool, flight_base(p), p.pid);
+      p.fd = spawn_worker(options, flight_base(p), p.pid);
       if (p.spawned) {
         ++p.losses;
         ++report.worker_respawns;
@@ -590,9 +602,10 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
   };
 
   // fourbit.status/1 publication: coordinator lifecycle truth, per-peer
-  // lease state/health, and the board's metrics. The fallback counters
-  // are atomics because during the degradation pass a StatusPublisher
-  // thread reads them while run_supervised's callback writes them.
+  // lease state/health, a "local" row once the local pass runs, and the
+  // board's metrics. The local pass's counters are atomics because a
+  // StatusPublisher thread reads them while run_supervised's callback
+  // writes them.
   const bool status_publishing =
       !options.status_path.empty() || static_cast<bool>(options.on_status);
   const auto status_every = std::chrono::milliseconds(
@@ -600,25 +613,39 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
   const auto campaign_start = Clock::now();
   std::uint64_t status_seq = 0;
   auto last_status_publish = campaign_start;
-  std::atomic<std::size_t> fallback_settled{0};
-  std::atomic<std::size_t> fallback_failed{0};
-  std::atomic<std::uint64_t> fallback_retried{0};
+  bool local_pass = false;  // set before the pass's publisher starts
+  std::atomic<std::size_t> local_settled{0};
+  std::atomic<std::size_t> local_failed{0};
+  std::atomic<std::uint64_t> local_retried{0};
   const auto publish_status = [&] {
     StatusSnapshot snap;
     status_board.fill_snapshot(snap);
-    const std::uint64_t all_settled_count =
-        progress_done + fallback_settled.load(std::memory_order_relaxed);
-    const std::uint64_t all_failed =
-        failed_count + fallback_failed.load(std::memory_order_relaxed);
-    snap.done = all_settled_count - all_failed;
+    // Load each pass counter once, so the rows add up to the totals.
+    const std::uint64_t pass_settled =
+        local_settled.load(std::memory_order_relaxed);
+    const std::uint64_t pass_failed =
+        local_failed.load(std::memory_order_relaxed);
+    const std::uint64_t all_failed = failed_count + pass_failed;
+    snap.done = progress_done + pass_settled - all_failed;
     snap.failed = all_failed;
     snap.retried =
-        report.retries + fallback_retried.load(std::memory_order_relaxed);
+        report.retries + local_retried.load(std::memory_order_relaxed);
     snap.replayed = report.replayed;
     snap.hard_crashes = report.hard_crashes;
     snap.worker_respawns = report.worker_respawns;
     snap.host_losses = report.host_losses;
     snap.lease_reassignments = report.lease_reassignments;
+    if (local_pass) {
+      // The board's own in-flight count is the pass's: peers' trials are
+      // never started on it.
+      StatusSource src;
+      src.name = "local";
+      src.kind = StatusSource::Kind::kLocal;
+      src.done = pass_settled - pass_failed;
+      src.failed = pass_failed;
+      src.in_flight = snap.in_flight;
+      snap.sources.push_back(std::move(src));
+    }
     for (const auto& p : peers) {
       snap.in_flight += p.in_flight.size();
       StatusSource src;
@@ -782,12 +809,12 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
     }
   }
 
-  // ---- every peer retired with trials left ----
+  // ---- trials no peer settled ----
   std::vector<std::size_t> remaining;
   for (const std::size_t i : owed) {
     if (!settled(i)) remaining.push_back(i);
   }
-  if (!remaining.empty() && pool != nullptr) {
+  if (!remaining.empty() && local_workers) {
     // Running them in-process would give up crash isolation: workers
     // that keep dying before reporting anything condemn the rest.
     for (const std::size_t i : remaining) {
@@ -796,10 +823,14 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
                 last_sig);
     }
   } else if (!remaining.empty()) {
-    std::fprintf(stderr,
-                 "fourbit-dispatch: every host is gone; finishing %zu "
-                 "remaining trials locally\n",
-                 remaining.size());
+    // The local pass: the whole campaign when there are no peers, the
+    // rest once every host is gone.
+    if (!peers.empty()) {
+      std::fprintf(stderr,
+                   "fourbit-dispatch: every host is gone; finishing %zu "
+                   "remaining trials locally\n",
+                   remaining.size());
+    }
     SupervisorOptions local = options.supervisor;
     local.subset = remaining;
     local.journal_path.clear();  // on_trial_done records into ours
@@ -808,9 +839,9 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
     const std::uint64_t base_retries = report.retries;
     const auto inner = options.supervisor.on_trial_done;
     local.on_trial_done = [&, inner](const TrialProgress& p) {
-      fallback_settled.store(p.completed, std::memory_order_relaxed);
-      fallback_failed.store(p.failed, std::memory_order_relaxed);
-      fallback_retried.store(p.retried, std::memory_order_relaxed);
+      local_settled.store(p.completed, std::memory_order_relaxed);
+      local_failed.store(p.failed, std::memory_order_relaxed);
+      local_retried.store(p.retried, std::memory_order_relaxed);
       if (p.result != nullptr) journal.record(p.trial_index, *p.result);
       if (!inner) return;
       TrialProgress q = p;  // re-base counters onto the whole campaign
@@ -819,15 +850,18 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
       q.retried = static_cast<std::size_t>(base_retries) + p.retried;
       inner(q);
     };
-    // The fallback supervisor feeds the same board the peers fed, and a
-    // publisher thread keeps the file fresh while run_supervised blocks.
-    local.status = &status_board;
-    std::optional<StatusPublisher> fallback_publisher;
+    // The pass feeds the board the peers fed, and a publisher thread
+    // keeps the file fresh while run_supervised blocks. A caller's board
+    // is already in `local`; the private one is armed only when status
+    // is published, since every trial would push registries into it.
+    local_pass = true;
+    std::optional<StatusPublisher> pass_publisher;
     if (status_publishing) {
-      fallback_publisher.emplace(options.status_interval_ms, publish_status);
+      local.status = &status_board;
+      pass_publisher.emplace(options.status_interval_ms, publish_status);
     }
     CampaignReport fb = run_supervised(trials, local);
-    fallback_publisher.reset();  // final tick before the report merge
+    pass_publisher.reset();  // final tick before the report merge
     for (const std::size_t i : remaining) {
       if (fb.completed[i]) {
         report.results[i] = std::move(fb.results[i]);
@@ -871,32 +905,22 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
   return report;
 }
 
-}  // namespace
-
-CampaignReport run_distributed(const std::vector<ExperimentConfig>& trials,
-                               const DispatchOptions& options) {
-  return coordinate(trials, options, nullptr);
-}
-
-CampaignReport run_multiprocess(const std::vector<ExperimentConfig>& trials,
-                                const MultiprocessOptions& options) {
-  if (!trials.empty() && options.exec_argv.empty()) {
-    throw std::runtime_error(
-        "run_multiprocess: exec_argv is empty (pass CampaignCli::exec_argv)");
-  }
-  DispatchOptions policy;
-  policy.supervisor = options.supervisor;
-  policy.heartbeat_timeout_ms = options.heartbeat_timeout_ms;
-  policy.trial_timeout_ms = options.trial_timeout_ms;
-  policy.reconnect_backoff = options.respawn_backoff;
-  policy.max_trial_crashes = options.max_trial_crashes;
-  // A worker that keeps dying before reporting any progress is retired.
-  policy.max_host_failures =
-      std::max<std::size_t>(2, options.max_trial_crashes);
-  policy.status_path = options.status_path;
-  policy.status_interval_ms = options.status_interval_ms;
-  policy.on_status = options.on_status;
-  return coordinate(trials, policy, &options);
+DispatchOptions CampaignCli::dispatch_options() const {
+  DispatchOptions options;
+  options.supervisor = supervisor_options();
+  options.workers = workers;
+  options.exec_argv = exec_argv;
+  options.hosts = hosts;
+  options.lease_trials = lease_trials;
+  options.heartbeat_interval_ms = worker_heartbeat_ms;
+  // The coordinator backstop must out-wait the peer's own SimBudget (the
+  // cooperative watchdog should win the race and record a retryable
+  // soft timeout); it only fires on non-cooperative hangs, or on a host
+  // whose machine we cannot signal.
+  options.trial_timeout_ms = max_trial_ms != 0 ? max_trial_ms * 2 + 5000 : 0;
+  options.status_path = status_json;
+  options.status_interval_ms = status_interval_ms;
+  return options;
 }
 
 // ---- agent side: host agents and local workers -------------------------
@@ -1040,21 +1064,13 @@ void run_lease(const std::vector<ExperimentConfig>& trials,
       }
     };
     session.set_board(&board);
-    CampaignReport rep;
-    if (cli.workers > 0) {
-      // A host agent's lease rides a local worker pool: trial SIGSEGVs
-      // take down a worker process, not this agent.
-      MultiprocessOptions mp;
-      mp.supervisor = sopts;
-      mp.workers = cli.workers;
-      mp.exec_argv = cli.exec_argv;
-      mp.heartbeat_interval_ms = cli.worker_heartbeat_ms;
-      mp.trial_timeout_ms =
-          cli.max_trial_ms != 0 ? cli.max_trial_ms * 2 + 5000 : 0;
-      rep = run_multiprocess(trials, mp);
-    } else {
-      rep = run_supervised(trials, sopts);
-    }
+    // In-process, or on a local worker pool when this agent has
+    // --workers: trial SIGSEGVs then take down a worker, not the agent.
+    // Status is the session's to stream, never a file of the agent's.
+    DispatchOptions lease = cli.dispatch_options();
+    lease.supervisor = std::move(sopts);
+    lease.status_path.clear();
+    const CampaignReport rep = dispatch_campaign(trials, lease);
     session.set_board(nullptr);
     session_retries += static_cast<std::uint32_t>(rep.retries);
   }

@@ -12,11 +12,12 @@
 namespace fourbit::runner {
 namespace {
 
-constexpr std::uint8_t kStatusVersion = 1;
+// Version 2: metric tables only (version 1 also carried lifecycle
+// counts, timing and a sources table no sender filled).
+constexpr std::uint8_t kStatusVersion = 2;
 // Decode-side sanity caps: a payload past these is corruption (or an
 // attacker), not a real campaign.
 constexpr std::size_t kMaxString = 512;
-constexpr std::size_t kMaxSources = 4096;
 constexpr std::size_t kMaxMetricRows = 65536;
 constexpr std::size_t kMaxHistRows = 4096;
 
@@ -106,35 +107,6 @@ std::vector<std::uint8_t> encode_status_snapshot(
   std::vector<std::uint8_t> payload;
   ByteWriter w{payload};
   w.u8(kStatusVersion);
-  w.u64(snapshot.seq);
-  w.u64(snapshot.total);
-  w.u64(snapshot.done);
-  w.u64(snapshot.failed);
-  w.u64(snapshot.retried);
-  w.u64(snapshot.in_flight);
-  w.u64(snapshot.replayed);
-  w.u64(snapshot.hard_crashes);
-  w.u64(snapshot.worker_respawns);
-  w.u64(snapshot.host_losses);
-  w.u64(snapshot.lease_reassignments);
-  w.f64(snapshot.elapsed_s);
-  w.f64(snapshot.trials_per_s);
-  w.f64(snapshot.eta_s);
-
-  w.u32(static_cast<std::uint32_t>(snapshot.sources.size()));
-  for (const auto& s : snapshot.sources) {
-    write_str(w, s.name);
-    w.u8(static_cast<std::uint8_t>(s.kind));
-    w.u8(static_cast<std::uint8_t>((s.alive ? 1 : 0) |
-                                   (s.retired ? 2 : 0)));
-    w.u64(s.done);
-    w.u64(s.failed);
-    w.u64(s.in_flight);
-    w.u64(s.losses);
-    w.u64(s.fruitless);
-    write_str(w, s.lease);
-  }
-
   w.u32(static_cast<std::uint32_t>(snapshot.counters.size()));
   for (const auto& c : snapshot.counters) {
     write_str(w, c.component);
@@ -175,45 +147,6 @@ std::optional<StatusSnapshot> decode_status_snapshot(
   ByteReader r{payload};
   if (r.u8() != kStatusVersion) return std::nullopt;
   StatusSnapshot snapshot;
-  snapshot.seq = r.u64();
-  snapshot.total = r.u64();
-  snapshot.done = r.u64();
-  snapshot.failed = r.u64();
-  snapshot.retried = r.u64();
-  snapshot.in_flight = r.u64();
-  snapshot.replayed = r.u64();
-  snapshot.hard_crashes = r.u64();
-  snapshot.worker_respawns = r.u64();
-  snapshot.host_losses = r.u64();
-  snapshot.lease_reassignments = r.u64();
-  snapshot.elapsed_s = r.f64();
-  snapshot.trials_per_s = r.f64();
-  snapshot.eta_s = r.f64();
-  if (!r.ok()) return std::nullopt;
-
-  const std::uint32_t n_sources = r.u32();
-  if (!r.ok() || n_sources > kMaxSources) return std::nullopt;
-  snapshot.sources.reserve(n_sources);
-  for (std::uint32_t i = 0; i < n_sources; ++i) {
-    StatusSource s;
-    if (!read_str(r, s.name)) return std::nullopt;
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(StatusSource::Kind::kHost)) {
-      return std::nullopt;
-    }
-    s.kind = static_cast<StatusSource::Kind>(kind);
-    const std::uint8_t flags = r.u8();
-    s.alive = (flags & 1) != 0;
-    s.retired = (flags & 2) != 0;
-    s.done = r.u64();
-    s.failed = r.u64();
-    s.in_flight = r.u64();
-    s.losses = r.u64();
-    s.fruitless = r.u64();
-    if (!read_str(r, s.lease) || !r.ok()) return std::nullopt;
-    snapshot.sources.push_back(std::move(s));
-  }
-
   const std::uint32_t n_counters = r.u32();
   if (!r.ok() || n_counters > kMaxMetricRows) return std::nullopt;
   snapshot.counters.reserve(n_counters);

@@ -89,11 +89,15 @@ struct StatusSnapshot {
   std::vector<StatusHistogram> histograms;
 };
 
-/// Snapshot payload codec (ByteWriter/ByteReader, big-endian, histogram
-/// bins run-compressed). The bytes travel inside existing CRC-framed
-/// records — FW kStatus `what` and FT kStatus `text` — so framing and
-/// corruption latching are inherited. decode returns nullopt on any
-/// malformed payload (bad version, oversized tables, truncation).
+/// Metric payload codec (ByteWriter/ByteReader, big-endian, histogram
+/// bins run-compressed): the counter, gauge and histogram tables only —
+/// what a worker or host sends upward (a live view, or a settled
+/// trial's registry); lifecycle counts and sources are the
+/// coordinator's own and never cross the wire. The bytes travel inside
+/// existing CRC-framed records — FW kTrialDone `what` and FT kStatus
+/// `text` — so framing and corruption latching are inherited. decode
+/// returns nullopt on any malformed payload (bad version, oversized
+/// tables, truncation).
 [[nodiscard]] std::vector<std::uint8_t> encode_status_snapshot(
     const StatusSnapshot& snapshot);
 [[nodiscard]] std::optional<StatusSnapshot> decode_status_snapshot(
@@ -119,9 +123,9 @@ void stamp_status(StatusSnapshot& snapshot, std::uint64_t seq,
 
 /// Fires `tick` every interval_ms on a background thread, plus once at
 /// destruction so the last published snapshot is the settled end state.
-/// Used where no supervision loop exists to piggyback on (the local
-/// supervised path, in-process host leases); `tick` must be safe
-/// against concurrent trial threads — StatusBoard is.
+/// Used where no coordinator loop exists to piggyback on (the
+/// coordinator's local pass, which blocks in run_supervised); `tick`
+/// must be safe against concurrent trial threads — StatusBoard is.
 class StatusPublisher {
  public:
   StatusPublisher(std::uint64_t interval_ms, std::function<void()> tick);

@@ -33,7 +33,8 @@
 
 namespace fourbit::runner {
 
-class StatusBoard;  // runner/status.hpp
+class StatusBoard;       // runner/status.hpp
+struct DispatchOptions;  // runner/dispatch.hpp
 
 /// Why a trial died. Order matters: it indexes
 /// CampaignSummary::failures_by_kind.
@@ -240,7 +241,7 @@ struct HostEndpoint {
 /// multi-process coordinator (worker.hpp) appends when it self-execs.
 struct CampaignCli {
   std::size_t threads = 0;
-  /// Worker *processes* (run_multiprocess); 0 = flag absent, run
+  /// Worker *processes* (dispatch_campaign); 0 = flag absent, run
   /// in-process. --workers 0 is a usage error; with --workers given,
   /// --threads is the thread count of each worker. Any explicit K >= 1
   /// takes the fork/exec path so even --workers 1 survives a trial that
@@ -307,6 +308,12 @@ struct CampaignCli {
     options.profile_phases = profile_phases;
     return options;
   }
+
+  /// The coordinator options for this command line (dispatch.hpp):
+  /// supervisor_options() plus the peers (--hosts, else --workers),
+  /// lease size, status publication and the coordinator-side trial
+  /// backstop. Defined in dispatch.cpp.
+  [[nodiscard]] DispatchOptions dispatch_options() const;
 };
 
 /// Strips the campaign flags from argv (see CampaignCli).

@@ -1,7 +1,6 @@
 #include "runner/worker.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <limits>
 #include <utility>
@@ -12,8 +11,6 @@
 
 namespace fourbit::runner {
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 constexpr std::uint16_t kSnapshotMagic = 0x4653;  // "FS"
 constexpr std::uint8_t kRecordVersion = 2;
@@ -229,63 +226,9 @@ CampaignReport run_campaign(
   if (cli.serve_port >= 0) {
     run_host_agent(trials, cli, cli.supervisor_options());  // never returns
   }
-  if (!cli.hosts.empty()) {
-    DispatchOptions options;
-    options.supervisor = cli.supervisor_options();
-    options.supervisor.on_trial_done = std::move(progress);
-    options.hosts = cli.hosts;
-    options.lease_trials = cli.lease_trials;
-    // Same backstop rationale as the worker pool below: the remote
-    // host's own SimBudget should win; this only catches hosts whose
-    // machine we cannot signal.
-    options.trial_timeout_ms =
-        cli.max_trial_ms != 0 ? cli.max_trial_ms * 2 + 5000 : 0;
-    options.status_path = cli.status_json;
-    options.status_interval_ms = cli.status_interval_ms;
-    return run_distributed(trials, options);
-  }
-  if (cli.workers == 0) {
-    auto options = cli.supervisor_options();
-    options.on_trial_done = std::move(progress);
-    if (cli.status_json.empty()) return run_supervised(trials, options);
-    // In-process run with live status: a board fed by the supervisor
-    // and a publisher thread writing the file. The publisher's
-    // destructor runs after run_supervised returns, so the last write
-    // is the settled end state.
-    StatusBoard board;
-    options.status = &board;
-    const auto started = Clock::now();
-    std::uint64_t seq = 0;
-    StatusPublisher publisher{cli.status_interval_ms, [&] {
-      StatusSnapshot snap;
-      board.fill_snapshot(snap);
-      StatusSource src;
-      src.name = "local";
-      src.kind = StatusSource::Kind::kLocal;
-      src.done = snap.done;
-      src.failed = snap.failed;
-      src.in_flight = snap.in_flight;
-      snap.sources.push_back(std::move(src));
-      const double elapsed =
-          std::chrono::duration<double>(Clock::now() - started).count();
-      stamp_status(snap, ++seq, elapsed, trials.size());
-      write_status_file(cli.status_json, status_json(snap));
-    }};
-    return run_supervised(trials, options);
-  }
-  MultiprocessOptions options;
-  options.supervisor = cli.supervisor_options();
+  DispatchOptions options = cli.dispatch_options();
   options.supervisor.on_trial_done = std::move(progress);
-  options.workers = cli.workers;
-  options.exec_argv = cli.exec_argv;
-  options.status_path = cli.status_json;
-  options.status_interval_ms = cli.status_interval_ms;
-  // The coordinator backstop must out-wait the in-worker SimBudget (the
-  // cooperative watchdog should win the race and record a retryable
-  // soft timeout); it only fires on non-cooperative hangs.
-  options.trial_timeout_ms =
-      cli.max_trial_ms != 0 ? cli.max_trial_ms * 2 + 5000 : 0;
-  return run_multiprocess(trials, options);
+  return dispatch_campaign(trials, options);
 }
 
 }  // namespace fourbit::runner

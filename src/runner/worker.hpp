@@ -5,8 +5,8 @@
 // catch — exceptions, asserts, cooperative budget timeouts. It is
 // structurally blind to SIGSEGV, SIGBUS, OOM kills and std::terminate:
 // those take the whole process, and every sibling trial, with it.
-// run_multiprocess moves the isolation boundary to processes, and runs
-// them through the same coordinator loop as a distributed campaign
+// DispatchOptions::workers moves the isolation boundary to processes,
+// run by the same coordinator loop as a distributed campaign
 // (dispatch.hpp):
 //
 //   * The coordinator self-execs argv with hidden --worker-* flags and
@@ -36,12 +36,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "runner/status.hpp"
 #include "runner/supervisor.hpp"
 #include "sim/telemetry.hpp"
 
@@ -128,57 +128,6 @@ void write_flight_snapshot(const std::string& path, std::size_t trial_index,
 
 // ---- the worker pool --------------------------------------------------
 
-struct MultiprocessOptions {
-  /// Trial-level policy (threads = per-worker threads; journal_path =
-  /// the main journal stem, its shard next to it; on_trial_start and
-  /// on_trial_done fire on the coordinator as workers report).
-  SupervisorOptions supervisor;
-  std::size_t workers = 1;
-  /// The self-exec command: the ORIGINAL argv (CampaignCli::exec_argv).
-  /// The coordinator appends --worker-fd/--worker-flight/
-  /// --worker-heartbeat-ms when spawning.
-  std::vector<std::string> exec_argv;
-
-  /// Worker liveness: a worker that sends nothing for
-  /// heartbeat_timeout_ms is presumed wedged, killed, and handled as a
-  /// hard crash. Workers tick every heartbeat_interval_ms.
-  std::uint64_t heartbeat_interval_ms = 250;
-  std::uint64_t heartbeat_timeout_ms = 10'000;
-  /// Coordinator-side per-trial wall clock (0 = off): a trial in flight
-  /// longer than this gets its worker killed and is marked kTimeout
-  /// immediately — the backstop for non-cooperative hangs the in-worker
-  /// SimBudget cannot interrupt (e.g. a blocking syscall).
-  std::uint64_t trial_timeout_ms = 0;
-
-  /// Backoff between a worker death and its respawn: base delay after a
-  /// productive life, doubling over consecutive fruitless ones (dying
-  /// before reporting any trial). max(2, max_trial_crashes) fruitless
-  /// deaths in a row retire the worker; once every worker is retired,
-  /// the trials left fail as kHardCrash.
-  Backoff respawn_backoff{250, 10'000, 0.25};
-  /// A trial in flight during this many worker deaths is declared the
-  /// killer and marked failed-permanent (kHardCrash) instead of being
-  /// retried into a crash loop.
-  std::size_t max_trial_crashes = 2;
-
-  /// Live observability. status_path: publish a fourbit.status/1
-  /// snapshot there every status_interval_ms (write-temp-then-rename).
-  /// on_status: additionally hand each snapshot to this callback. Both
-  /// are strictly off-band. Metrics accumulate in supervisor.status
-  /// when set (a host agent's lease board), else in a private board.
-  std::string status_path;
-  std::uint64_t status_interval_ms = 1000;
-  std::function<void(const StatusSnapshot&)> on_status;
-};
-
-/// Runs the campaign across worker processes through the coordinator
-/// loop of dispatch.cpp. Blocks until every trial is settled (completed,
-/// failed, or failed-permanent) and every worker is reaped. Never throws
-/// on worker misbehavior — only on coordinator-side I/O setup errors.
-[[nodiscard]] CampaignReport run_multiprocess(
-    const std::vector<ExperimentConfig>& trials,
-    const MultiprocessOptions& options);
-
 /// Worker-mode entry (--worker-fd): serves the coordinator session on
 /// cli.worker_fd — the host agent's protocol, leases run in-process —
 /// then exits the process (never returns). `options` is the worker's
@@ -188,9 +137,10 @@ struct MultiprocessOptions {
                              const CampaignCli& cli,
                              SupervisorOptions options);
 
-/// The one campaign entry point benches call: dispatches on the parsed
-/// CLI — worker mode (never returns), multi-process coordinator
-/// (--workers given), or the classic in-process supervised run.
+/// The one campaign entry point benches call: worker mode and host-agent
+/// mode (--worker-fd, --serve: never return), else dispatch_campaign
+/// with cli.dispatch_options() — over --hosts, over --workers, or
+/// in-process with no peers.
 [[nodiscard]] CampaignReport run_campaign(
     const std::vector<ExperimentConfig>& trials, const CampaignCli& cli,
     std::function<void(const TrialProgress&)> progress);

@@ -18,6 +18,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -285,7 +286,7 @@ DispatchOptions dt_options(const std::vector<std::uint16_t>& ports,
   }
   options.heartbeat_timeout_ms = 5000;
   options.connect_timeout_ms = 2000;
-  options.reconnect_backoff = Backoff{10, 50, 0.0};
+  options.restart_backoff = Backoff{10, 50, 0.0};
   options.max_host_failures = 2;
   return options;
 }
@@ -692,7 +693,7 @@ TEST(JournalWriteFailureTest, SupervisedCampaignFinishesUnjournaled) {
 TEST(DispatchTest, EmptyHostListRunsLocally) {
   const auto trials = scenario_trials(6, 300);
   DispatchOptions options = dt_options({});
-  const auto report = run_distributed(trials, options);
+  const auto report = dispatch_campaign(trials, options);
   const auto reference = reference_report(6, 300);
   ASSERT_TRUE(report.all_completed());
   for (std::size_t i = 0; i < trials.size(); ++i) {
@@ -714,7 +715,7 @@ TEST(DispatchTest, CleanTwoHostRunMatchesSingleProcess) {
   DispatchOptions options = dt_options({a.port(), b.port()}, stem);
   options.lease_trials = 3;  // both hosts participate
   const auto trials = scenario_trials(n, base);
-  const auto report = run_distributed(trials, options);
+  const auto report = dispatch_campaign(trials, options);
   const auto reference = reference_report(n, base, ref_stem);
 
   ASSERT_TRUE(report.all_completed());
@@ -753,7 +754,7 @@ TEST(DispatchTest, HostSigkilledMidTrialLeaseReassigned) {
     b.kill_now();
   });
   const auto trials = scenario_trials(n, base);
-  const auto report = run_distributed(trials, options);
+  const auto report = dispatch_campaign(trials, options);
   killer.join();
 
   const auto reference = reference_report(n, base);
@@ -796,7 +797,7 @@ TEST(DispatchTest, StatusStaysWellFormedThroughHostLoss) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     b.kill_now();
   });
-  const auto report = run_distributed(scenario_trials(n, base), options);
+  const auto report = dispatch_campaign(scenario_trials(n, base), options);
   killer.join();
 
   ASSERT_TRUE(report.all_completed());
@@ -848,7 +849,7 @@ TEST(DispatchTest, AllHostsDeadFallsBackToLocalRun) {
     a.kill_now();
   });
   const auto trials = scenario_trials(n, base);
-  const auto report = run_distributed(trials, options);
+  const auto report = dispatch_campaign(trials, options);
   killer.join();
 
   const auto reference = reference_report(n, base);
@@ -874,7 +875,7 @@ TEST(DispatchTest, CrashLoopingTrialAcrossHostsBecomesHardCrash) {
   options.lease_trials = 2;
   options.max_trial_crashes = 2;
   const auto trials = scenario_trials(n, base);
-  const auto report = run_distributed(trials, options);
+  const auto report = dispatch_campaign(trials, options);
 
   const auto reference = reference_report(n, base);
   for (std::size_t i = 0; i < n; ++i) {
@@ -912,7 +913,7 @@ TEST(DispatchTest, CoordinatorSigkillResumeIsBitIdentical) {
   if (child == 0) {
     DispatchOptions options = dt_options({a.port(), b.port()}, stem);
     options.lease_trials = 3;
-    const auto ignored = run_distributed(trials, options);
+    const auto ignored = dispatch_campaign(trials, options);
     (void)ignored;
     ::_exit(0);
   }
@@ -924,7 +925,7 @@ TEST(DispatchTest, CoordinatorSigkillResumeIsBitIdentical) {
   // behind — and the agents, which lost their session, serve it again.
   DispatchOptions options = dt_options({a.port(), b.port()}, stem);
   options.lease_trials = 3;
-  const auto report = run_distributed(trials, options);
+  const auto report = dispatch_campaign(trials, options);
   const auto reference = reference_report(n, base, ref_stem);
 
   ASSERT_TRUE(report.all_completed());
@@ -995,6 +996,40 @@ void expect_sources_add_up(const StatusSnapshot& snap) {
   EXPECT_EQ(failed, snap.failed);
 }
 
+TEST(ExactStatusTest, AllHostsDeadFallbackSourcesAddUp) {
+  // The only host is dead from the start, so the local pass settles all
+  // four trials (trial 2 fails). The final snapshot must attribute them
+  // to a "local" row: the source rows add up to done and failed.
+  const std::uint64_t base = 650;
+  const auto trials = scenario_trials(4, base);
+  DispatchOptions options = dt_options({dead_port()});
+  options.supervisor.run_trial =
+      scenario_run_trial(parse_scenario("fail@2"), base, /*real=*/false);
+  options.status_interval_ms = 10;
+  std::mutex last_mutex;
+  StatusSnapshot last;
+  options.on_status = [&](const StatusSnapshot& s) {
+    const std::lock_guard<std::mutex> lock{last_mutex};
+    last = s;
+  };
+  const auto report = dispatch_campaign(trials, options);
+  ASSERT_EQ(report.failures.size(), 1u);
+  EXPECT_EQ(report.failures[0].trial_index, 2u);
+
+  EXPECT_EQ(last.done, 3u);
+  EXPECT_EQ(last.failed, 1u);
+  EXPECT_EQ(last.in_flight, 0u);
+  expect_sources_add_up(last);
+  const auto local = std::find_if(
+      last.sources.begin(), last.sources.end(), [](const StatusSource& s) {
+        return s.kind == StatusSource::Kind::kLocal;
+      });
+  ASSERT_NE(local, last.sources.end());
+  EXPECT_EQ(local->name, "local");
+  EXPECT_EQ(local->done, 3u);
+  EXPECT_EQ(local->failed, 1u);
+}
+
 TEST(ExactStatusTest, FinalTotalsAgreeAcrossThreadsWorkersAndHosts) {
   // One profiled campaign of real trials under five execution modes.
   // The final snapshot's counters, histogram counts and gauges must be
@@ -1022,7 +1057,7 @@ TEST(ExactStatusTest, FinalTotalsAgreeAcrossThreadsWorkersAndHosts) {
   }
 
   for (const std::size_t workers : {1u, 3u}) {
-    MultiprocessOptions mp;
+    DispatchOptions mp;
     mp.workers = workers;
     mp.exec_argv = {"/proc/self/exe", "--dt-trials", std::to_string(n),
                     "--dt-seed", std::to_string(base), "--threads", "1"};
@@ -1032,7 +1067,7 @@ TEST(ExactStatusTest, FinalTotalsAgreeAcrossThreadsWorkersAndHosts) {
     mp.status_interval_ms = 20;
     StatusSnapshot last;
     mp.on_status = [&](const StatusSnapshot& s) { last = s; };
-    ASSERT_TRUE(run_multiprocess(trials, mp).all_completed());
+    ASSERT_TRUE(dispatch_campaign(trials, mp).all_completed());
     expect_sources_add_up(last);
     finals.emplace_back("workers " + std::to_string(workers), last);
   }
@@ -1050,7 +1085,7 @@ TEST(ExactStatusTest, FinalTotalsAgreeAcrossThreadsWorkersAndHosts) {
       const std::lock_guard<std::mutex> lock{last_mutex};
       last = s;
     };
-    const auto report = run_distributed(trials, options);
+    const auto report = dispatch_campaign(trials, options);
     ASSERT_TRUE(report.all_completed());
     EXPECT_EQ(report.host_losses, 0u);
     expect_sources_add_up(last);
@@ -1104,7 +1139,7 @@ TEST(ExactStatusTest, HostSigkilledMidLeaseCountsEachTrialOnce) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     b.kill_now();
   });
-  const auto report = run_distributed(trials, options);
+  const auto report = dispatch_campaign(trials, options);
   killer.join();
   ASSERT_TRUE(report.all_completed());
   EXPECT_GE(report.host_losses, 1u);

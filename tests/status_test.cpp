@@ -31,6 +31,7 @@
 
 #include "common/byte_io.hpp"
 #include "runner/campaign.hpp"
+#include "runner/dispatch.hpp"
 #include "runner/status.hpp"
 #include "runner/supervisor.hpp"
 #include "runner/transport.hpp"
@@ -380,46 +381,25 @@ StatusSnapshot sample_snapshot() {
 }
 
 TEST(StatusCodecTest, RoundTripsEveryField) {
+  // The payload is the metric tables; lifecycle counts and sources are
+  // the coordinator's own and do not travel.
   const StatusSnapshot snap = sample_snapshot();
   const auto payload = encode_status_snapshot(snap);
   const auto out = decode_status_snapshot(payload);
   ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(out->seq, snap.seq);
-  EXPECT_EQ(out->total, snap.total);
-  EXPECT_EQ(out->done, snap.done);
-  EXPECT_EQ(out->failed, snap.failed);
-  EXPECT_EQ(out->retried, snap.retried);
-  EXPECT_EQ(out->in_flight, snap.in_flight);
-  EXPECT_EQ(out->replayed, snap.replayed);
-  EXPECT_EQ(out->hard_crashes, snap.hard_crashes);
-  EXPECT_EQ(out->worker_respawns, snap.worker_respawns);
-  EXPECT_EQ(out->host_losses, snap.host_losses);
-  EXPECT_EQ(out->lease_reassignments, snap.lease_reassignments);
-  EXPECT_EQ(out->elapsed_s, snap.elapsed_s);
-  EXPECT_EQ(out->trials_per_s, snap.trials_per_s);
-  EXPECT_EQ(out->eta_s, snap.eta_s);
-  ASSERT_EQ(out->sources.size(), 2u);
-  EXPECT_EQ(out->sources[0].name, "w0");
-  EXPECT_EQ(out->sources[0].kind, StatusSource::Kind::kWorker);
-  EXPECT_TRUE(out->sources[0].alive);
-  EXPECT_FALSE(out->sources[0].retired);
-  EXPECT_EQ(out->sources[0].done, 21u);
-  EXPECT_EQ(out->sources[0].failed, 1u);
-  EXPECT_EQ(out->sources[0].in_flight, 3u);
-  EXPECT_EQ(out->sources[0].losses, 2u);
-  EXPECT_EQ(out->sources[0].lease, "0-4,9");
-  EXPECT_EQ(out->sources[1].name, "127.0.0.1:9001");
-  EXPECT_EQ(out->sources[1].kind, StatusSource::Kind::kHost);
-  EXPECT_FALSE(out->sources[1].alive);
-  EXPECT_TRUE(out->sources[1].retired);
-  EXPECT_EQ(out->sources[1].fruitless, 3u);
+  EXPECT_EQ(out->done, 0u);
+  EXPECT_TRUE(out->sources.empty());
   ASSERT_EQ(out->counters.size(), 1u);
   EXPECT_EQ(out->counters[0].component, "sim");
   EXPECT_EQ(out->counters[0].name, "eq_resizes");
   EXPECT_EQ(out->counters[0].value, 17u);
   ASSERT_EQ(out->gauges.size(), 1u);
+  EXPECT_EQ(out->gauges[0].component, "sim");
+  EXPECT_EQ(out->gauges[0].name, "arena_bytes");
   EXPECT_EQ(out->gauges[0].value, 1.5e6);
   ASSERT_EQ(out->histograms.size(), 1u);
+  EXPECT_EQ(out->histograms[0].component, "runner");
+  EXPECT_EQ(out->histograms[0].name, "trial_wall_ms");
   EXPECT_EQ(out->histograms[0].hist.count, 3u);
   EXPECT_EQ(out->histograms[0].hist.sum, 1005u);
   EXPECT_EQ(out->histograms[0].hist.bins, snap.histograms[0].hist.bins);
@@ -427,7 +407,7 @@ TEST(StatusCodecTest, RoundTripsEveryField) {
 
 TEST(StatusCodecTest, RejectsBadVersion) {
   auto payload = encode_status_snapshot(sample_snapshot());
-  payload[0] = 2;
+  payload[0] = 1;  // the retired layout with lifecycle counts and sources
   EXPECT_FALSE(decode_status_snapshot(payload).has_value());
 }
 
@@ -448,23 +428,23 @@ TEST(StatusCodecTest, RejectsTrailingBytes) {
 }
 
 TEST(StatusCodecTest, RejectsOversizedTables) {
-  // An EMPTY snapshot ends in four u32 table counts; the first of them
-  // (sources) sits 16 bytes from the end. Claiming 2^32-1 sources must
-  // be rejected up front, not chased into a multi-gigabyte loop.
-  auto payload = encode_status_snapshot(StatusSnapshot{});
-  ASSERT_GE(payload.size(), 16u);
-  const std::size_t at = payload.size() - 16;
-  payload[at] = payload[at + 1] = payload[at + 2] = payload[at + 3] = 0xFF;
-  EXPECT_FALSE(decode_status_snapshot(payload).has_value());
+  // An EMPTY snapshot is the version byte and three u32 table counts
+  // (counters, gauges, histograms). Claiming 2^32-1 rows in any table
+  // must be rejected up front, not chased into a multi-gigabyte loop.
+  const auto empty = encode_status_snapshot(StatusSnapshot{});
+  ASSERT_EQ(empty.size(), 13u);
+  for (const std::size_t at : {1u, 5u, 9u}) {
+    auto payload = empty;
+    payload[at] = payload[at + 1] = payload[at + 2] = payload[at + 3] = 0xFF;
+    EXPECT_FALSE(decode_status_snapshot(payload).has_value())
+        << "table count at byte " << at;
+  }
 }
 
 TEST(StatusCodecTest, RejectsOutOfRangeHistogramBin) {
   std::vector<std::uint8_t> payload;
   ByteWriter w{payload};
-  w.u8(1);                                  // version
-  for (int i = 0; i < 11; ++i) w.u64(0);    // lifecycle counts
-  for (int i = 0; i < 3; ++i) w.f64(0.0);   // timing
-  w.u32(0);                                 // sources
+  w.u8(2);                                  // version
   w.u32(0);                                 // counters
   w.u32(0);                                 // gauges
   w.u32(1);                                 // one histogram...
@@ -479,17 +459,14 @@ TEST(StatusCodecTest, RejectsOutOfRangeHistogramBin) {
 }
 
 TEST(StatusCodecTest, TruncatesOverlongStringsAtEncode) {
-  // A pathological lease span (10k+ singleton trials) must not make the
-  // snapshot undecodable: encode caps the string, decode still works.
+  // A pathological metric name must not make the payload undecodable:
+  // encode caps the string, decode still works.
   StatusSnapshot snap;
-  StatusSource s;
-  s.name = "w0";
-  s.lease = std::string(2000, 'x');
-  snap.sources.push_back(s);
+  snap.counters.push_back(StatusCounter{"sim", std::string(2000, 'x'), 1});
   const auto out = decode_status_snapshot(encode_status_snapshot(snap));
   ASSERT_TRUE(out.has_value());
-  ASSERT_EQ(out->sources.size(), 1u);
-  EXPECT_EQ(out->sources[0].lease.size(), 512u);
+  ASSERT_EQ(out->counters.size(), 1u);
+  EXPECT_EQ(out->counters[0].name.size(), 512u);
 }
 
 TEST(StatusCodecTest, RidesTheWorkerPipeFrame) {
@@ -511,10 +488,10 @@ TEST(StatusCodecTest, RidesTheWorkerPipeFrame) {
   ASSERT_EQ(out->control.kind, ControlKind::kStatus);
   const auto decoded = decode_status_snapshot(out->control.text);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->seq, snap.seq);
-  EXPECT_EQ(decoded->done, snap.done);
-  ASSERT_EQ(decoded->sources.size(), 2u);
-  EXPECT_EQ(decoded->sources[0].lease, "0-4,9");
+  ASSERT_EQ(decoded->counters.size(), 1u);
+  EXPECT_EQ(decoded->counters[0].value, 17u);
+  ASSERT_EQ(decoded->histograms.size(), 1u);
+  EXPECT_EQ(decoded->histograms[0].hist.bins, snap.histograms[0].hist.bins);
 }
 
 // ---- stamping ----------------------------------------------------------
@@ -985,10 +962,10 @@ TEST(LocalCampaignStatusTest, WritesFinalSettledStatusFile) {
 
 // ---- multi-process campaigns streaming status --------------------------
 
-MultiprocessOptions st_mp_options(const std::string& scenario, std::size_t n,
-                                  std::uint64_t base, std::size_t workers,
-                                  const std::string& journal = "") {
-  MultiprocessOptions mp;
+DispatchOptions st_mp_options(const std::string& scenario, std::size_t n,
+                              std::uint64_t base, std::size_t workers,
+                              const std::string& journal = "") {
+  DispatchOptions mp;
   mp.workers = workers;
   mp.exec_argv = {"/proc/self/exe",
                   "--st-scenario", scenario,
@@ -999,7 +976,7 @@ MultiprocessOptions st_mp_options(const std::string& scenario, std::size_t n,
   mp.supervisor.journal_path = journal;
   mp.heartbeat_interval_ms = 20;
   mp.status_interval_ms = 20;
-  mp.respawn_backoff = Backoff{10, 100, 0.0};
+  mp.restart_backoff = Backoff{10, 100, 0.0};
   return mp;
 }
 
@@ -1023,7 +1000,7 @@ TEST(MultiprocessStatusTest, CleanCampaignStreamsMonotonicStatus) {
     mp.on_status = [&](const StatusSnapshot& s) { snaps.push_back(s); };
 
     const auto report =
-        run_multiprocess(scenario_trials(8, 300), mp);
+        dispatch_campaign(scenario_trials(8, 300), mp);
     ASSERT_TRUE(report.all_completed()) << "workers=" << workers;
 
     ASSERT_FALSE(snaps.empty());
@@ -1056,7 +1033,7 @@ TEST(MultiprocessStatusTest, CleanCampaignStreamsMonotonicStatus) {
 TEST(MultiprocessStatusTest, JournalBytesIdenticalWithAndWithoutStatus) {
   const std::string plain_stem = temp_path("mp_plain.journal");
   const std::string observed_stem = temp_path("mp_observed.journal");
-  const auto plain = run_multiprocess(
+  const auto plain = dispatch_campaign(
       scenario_trials(6, 1300),
       st_mp_options("clean", 6, 1300, 2, plain_stem));
 
@@ -1065,7 +1042,7 @@ TEST(MultiprocessStatusTest, JournalBytesIdenticalWithAndWithoutStatus) {
   mp.status_path = status_path;
   std::vector<StatusSnapshot> snaps;
   mp.on_status = [&](const StatusSnapshot& s) { snaps.push_back(s); };
-  const auto observed = run_multiprocess(scenario_trials(6, 1300), mp);
+  const auto observed = dispatch_campaign(scenario_trials(6, 1300), mp);
 
   ASSERT_TRUE(plain.all_completed());
   ASSERT_TRUE(observed.all_completed());
@@ -1086,7 +1063,7 @@ TEST(MultiprocessStatusTest, WorkerDeathSurfacesLossesAndFailures) {
   std::vector<StatusSnapshot> snaps;
   mp.on_status = [&](const StatusSnapshot& s) { snaps.push_back(s); };
 
-  const auto report = run_multiprocess(scenario_trials(6, 400), mp);
+  const auto report = dispatch_campaign(scenario_trials(6, 400), mp);
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].trial_index, 2u);
   EXPECT_EQ(report.failures[0].kind, FailureKind::kHardCrash);
@@ -1121,7 +1098,7 @@ TEST(MultiprocessStatusTest, WorkerDeathCountsOnlySettledTrials) {
   mp.exec_argv.push_back("--st-real");
   StatusSnapshot last;
   mp.on_status = [&](const StatusSnapshot& s) { last = s; };
-  const auto report = run_multiprocess(real_trials(n, base), mp);
+  const auto report = dispatch_campaign(real_trials(n, base), mp);
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].trial_index, 2u);
   EXPECT_GE(report.hard_crashes, 2u);

@@ -33,6 +33,7 @@
 
 #include "runner/campaign.hpp"
 #include "runner/describe.hpp"
+#include "runner/dispatch.hpp"
 #include "runner/journal.hpp"
 #include "runner/supervisor.hpp"
 #include "runner/transport.hpp"
@@ -226,10 +227,10 @@ std::string temp_stem(const char* name) {
 /// Coordinator options for a self-exec scenario campaign. Workers run
 /// --threads 1 so exactly one trial is in flight per worker: crash
 /// attribution in the tests is then deterministic.
-MultiprocessOptions mp_options(const std::string& scenario, std::size_t n,
-                               std::uint64_t base, std::size_t workers,
-                               const std::string& journal = "") {
-  MultiprocessOptions mp;
+DispatchOptions mp_options(const std::string& scenario, std::size_t n,
+                           std::uint64_t base, std::size_t workers,
+                           const std::string& journal = "") {
+  DispatchOptions mp;
   mp.workers = workers;
   mp.exec_argv = {"/proc/self/exe",
                   "--mp-scenario", scenario,
@@ -237,7 +238,7 @@ MultiprocessOptions mp_options(const std::string& scenario, std::size_t n,
                   "--mp-seed",     std::to_string(base),
                   "--threads",     "1"};
   mp.supervisor.journal_path = journal;
-  mp.respawn_backoff = Backoff{10, 100, 0.0};
+  mp.restart_backoff = Backoff{10, 100, 0.0};
   return mp;
 }
 
@@ -586,7 +587,7 @@ TEST(MultiprocessTest, CleanCampaignMatchesInProcessAtAnyWorkerCount) {
   for (const std::size_t workers : {1u, 3u}) {
     const auto trials = scenario_trials(8, 300);
     const auto report =
-        run_multiprocess(trials, mp_options("clean", 8, 300, workers));
+        dispatch_campaign(trials, mp_options("clean", 8, 300, workers));
     EXPECT_TRUE(report.failures.empty());
     EXPECT_EQ(report.hard_crashes, 0u);
     EXPECT_EQ(report.worker_respawns, 0u);
@@ -616,7 +617,7 @@ TEST(MultiprocessTest, RealSimCampaignIsIdenticalAcrossWorkerCounts) {
   for (const std::size_t workers : {1u, 3u}) {
     const auto trials = scenario_trials(n, 900);
     const auto report =
-        run_multiprocess(trials, mp_options("real", n, 900, workers));
+        dispatch_campaign(trials, mp_options("real", n, 900, workers));
     EXPECT_TRUE(report.failures.empty());
     EXPECT_EQ(report.hard_crashes, 0u);
     ASSERT_EQ(report.completed, reference.completed);
@@ -634,7 +635,7 @@ TEST(MultiprocessTest, SegvTrialBecomesHardCrashWithFlightEvidence) {
   const auto reference = reference_report(6, 400);
   const auto trials = scenario_trials(6, 400);
   const auto report =
-      run_multiprocess(trials, mp_options("segv@2", 6, 400, 2));
+      dispatch_campaign(trials, mp_options("segv@2", 6, 400, 2));
   ASSERT_EQ(report.failures.size(), 1u);
   const auto& failure = report.failures[0];
   EXPECT_EQ(failure.trial_index, 2u);
@@ -664,7 +665,7 @@ TEST(MultiprocessTest, SegvTrialBecomesHardCrashWithFlightEvidence) {
 TEST(MultiprocessTest, NonzeroExitBecomesHardCrash) {
   const auto trials = scenario_trials(5, 500);
   const auto report =
-      run_multiprocess(trials, mp_options("exit3@1", 5, 500, 2));
+      dispatch_campaign(trials, mp_options("exit3@1", 5, 500, 2));
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].trial_index, 1u);
   EXPECT_EQ(report.failures[0].kind, FailureKind::kHardCrash);
@@ -677,7 +678,7 @@ TEST(MultiprocessTest, NonzeroExitBecomesHardCrash) {
 
 TEST(MultiprocessTest, OomKilledTrialBecomesHardCrash) {
   const auto trials = scenario_trials(4, 600);
-  const auto report = run_multiprocess(trials, mp_options("oom@0", 4, 600, 2));
+  const auto report = dispatch_campaign(trials, mp_options("oom@0", 4, 600, 2));
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].trial_index, 0u);
   EXPECT_EQ(report.failures[0].kind, FailureKind::kHardCrash);
@@ -690,7 +691,7 @@ TEST(MultiprocessTest, NonCooperativeHangIsCaughtByCoordinatorWatchdog) {
   const auto trials = scenario_trials(5, 700);
   auto mp = mp_options("hang@0", 5, 700, 2);
   mp.trial_timeout_ms = 1200;
-  const auto report = run_multiprocess(trials, mp);
+  const auto report = dispatch_campaign(trials, mp);
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].trial_index, 0u);
   EXPECT_EQ(report.failures[0].kind, FailureKind::kTimeout);
@@ -703,7 +704,7 @@ TEST(MultiprocessTest, FrozenWorkerIsReapedByHeartbeatWatchdog) {
   const auto trials = scenario_trials(4, 800);
   auto mp = mp_options("freeze@1", 4, 800, 2);
   mp.heartbeat_timeout_ms = 700;
-  const auto report = run_multiprocess(trials, mp);
+  const auto report = dispatch_campaign(trials, mp);
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].trial_index, 1u);
   EXPECT_EQ(report.failures[0].kind, FailureKind::kHardCrash);
@@ -716,7 +717,7 @@ TEST(MultiprocessTest, FrozenWorkerIsReapedByHeartbeatWatchdog) {
 TEST(MultiprocessTest, CorruptPipeFrameIsWorkerCrashNotCoordinatorAbort) {
   const auto trials = scenario_trials(5, 900);
   const auto report =
-      run_multiprocess(trials, mp_options("badcrc@1", 5, 900, 2));
+      dispatch_campaign(trials, mp_options("badcrc@1", 5, 900, 2));
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].trial_index, 1u);
   EXPECT_EQ(report.failures[0].kind, FailureKind::kHardCrash);
@@ -729,7 +730,7 @@ TEST(MultiprocessTest, CorruptPipeFrameIsWorkerCrashNotCoordinatorAbort) {
 TEST(MultiprocessTest, WorkerKilledMidRecordIsHardCrash) {
   const auto trials = scenario_trials(5, 1000);
   const auto report =
-      run_multiprocess(trials, mp_options("tornkill@1", 5, 1000, 2));
+      dispatch_campaign(trials, mp_options("tornkill@1", 5, 1000, 2));
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].trial_index, 1u);
   EXPECT_EQ(report.failures[0].kind, FailureKind::kHardCrash);
@@ -740,7 +741,8 @@ TEST(MultiprocessTest, WorkerKilledMidRecordIsHardCrash) {
 
 TEST(MultiprocessTest, SoftFailureTravelsThePipeIntact) {
   const auto trials = scenario_trials(4, 1100);
-  const auto report = run_multiprocess(trials, mp_options("fail@3", 4, 1100, 2));
+  const auto report =
+      dispatch_campaign(trials, mp_options("fail@3", 4, 1100, 2));
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].trial_index, 3u);
   EXPECT_EQ(report.failures[0].kind, FailureKind::kException);
@@ -775,7 +777,7 @@ TEST(MultiprocessTest, ResumesFromShardsCompactsAndRejectsForeignSeeds) {
 
   const auto trials = scenario_trials(n, base);
   const auto report =
-      run_multiprocess(trials, mp_options("clean", n, base, 2, stem));
+      dispatch_campaign(trials, mp_options("clean", n, base, 2, stem));
   EXPECT_TRUE(report.failures.empty());
   EXPECT_EQ(report.replayed, 3u);      // the three shard records
   EXPECT_TRUE(report.journal_torn);    // the torn shard tail was noticed
@@ -790,7 +792,7 @@ TEST(MultiprocessTest, ResumesFromShardsCompactsAndRejectsForeignSeeds) {
   // and a re-run replays it all without spawning a single trial.
   EXPECT_FALSE(std::filesystem::exists(CampaignJournal::shard_path(stem)));
   const auto again =
-      run_multiprocess(trials, mp_options("clean", n, base, 3, stem));
+      dispatch_campaign(trials, mp_options("clean", n, base, 3, stem));
   EXPECT_EQ(again.replayed, 6u);
   EXPECT_EQ(again.attempts, 0u);
   for (std::size_t i = 0; i < n; ++i) {
@@ -808,7 +810,7 @@ TEST(MultiprocessTest, ShutdownWakesTheWorkerAndReapsIt) {
   mp.heartbeat_interval_ms = 2000;
   mp.exec_argv.insert(mp.exec_argv.end(), {"--status-interval-ms", "2000"});
   const auto started = std::chrono::steady_clock::now();
-  const auto report = run_multiprocess(trials, mp);
+  const auto report = dispatch_campaign(trials, mp);
   const auto elapsed = std::chrono::steady_clock::now() - started;
   EXPECT_TRUE(report.all_completed());
   EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
