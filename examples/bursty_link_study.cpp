@@ -49,8 +49,7 @@ int main() {
   // judges inbound packets); the 4B estimator lives at the SENDER (it
   // judges its own transmissions).
   core::FourBitEstimator fourb{core::FourBitConfig{}, rng.fork("4b")};
-  estimators::LqiEstimator lqi{estimators::LqiEstimatorConfig{},
-                               rng.fork("lqi")};
+  estimators::LqiEstimator lqi{estimators::LqiEstimatorConfig{}};
   {
     link::PacketPhyInfo seed{.white = true, .lqi = 110};
     const std::vector<std::uint8_t> wire{0};

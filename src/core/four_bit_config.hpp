@@ -3,23 +3,9 @@
 
 #include <cstddef>
 
+#include "link/table_estimator.hpp"
+
 namespace fourbit::core {
-
-/// How a full table admits an unknown beacon sender.
-enum class InsertionPolicy {
-  /// The paper's rule: only if the packet's white bit is set AND the
-  /// network layer's compare bit says the sender's route beats a current
-  /// entry; then a random unpinned entry is flushed.
-  kWhiteCompare,
-
-  /// Woo et al.'s baseline rule (used by the "ack bit only" variant of
-  /// Figure 6): admit with fixed probability, flushing a random unpinned
-  /// entry; no cross-layer input.
-  kProbabilistic,
-
-  /// Never replace; only free slots are filled.
-  kNever,
-};
 
 struct FourBitConfig {
   /// Candidate-link table size. 0 = unbounded.
@@ -57,7 +43,7 @@ struct FourBitConfig {
   std::size_t seq_reset_gap = 16;
 
   /// Table-admission rule for beacons from unknown senders.
-  InsertionPolicy insertion = InsertionPolicy::kWhiteCompare;
+  link::InsertionPolicy insertion = link::InsertionPolicy::kWhiteCompare;
 
   /// Admission probability when insertion == kProbabilistic.
   double probabilistic_insert_p = 0.25;

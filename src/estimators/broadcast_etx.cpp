@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
 #include "common/byte_io.hpp"
-#include "sim/telemetry.hpp"
 
 namespace fourbit::estimators {
 namespace {
@@ -25,7 +23,10 @@ double dequantize_prr(std::uint8_t q) {
 BroadcastEtxEstimator::BroadcastEtxEstimator(NodeId self,
                                              BroadcastEtxConfig config,
                                              sim::Rng rng)
-    : self_(self), config_(config), rng_(rng), table_(config.table_capacity) {}
+    : TableEstimator(config.table_capacity, config.insertion,
+                     config.probabilistic_insert_p, rng),
+      address_(self),
+      config_(config) {}
 
 std::vector<std::uint8_t> BroadcastEtxEstimator::wrap_beacon(
     std::span<const std::uint8_t> routing_payload) {
@@ -34,13 +35,12 @@ std::vector<std::uint8_t> BroadcastEtxEstimator::wrap_beacon(
   // through the table so every neighbor is eventually reported.
   std::vector<std::uint8_t> out;
   ByteWriter w{out};
-  w.u8(beacon_seq_++);
+  w.u8(next_beacon_seq());
 
-  const auto& entries = table_.entries();
   std::vector<std::pair<NodeId, std::uint8_t>> footer;
-  const std::size_t n = entries.size();
+  const std::size_t n = entries().size();
   for (std::size_t i = 0; i < n && footer.size() < config_.footer_max; ++i) {
-    const auto& e = entries[(footer_rotation_ + i) % n];
+    const auto& e = entries()[(footer_rotation_ + i) % n];
     if (!e.data.inbound_prr.has_value()) continue;
     footer.emplace_back(e.node, quantize_prr(e.data.inbound_prr.value()));
   }
@@ -67,7 +67,7 @@ std::optional<std::vector<std::uint8_t>> BroadcastEtxEstimator::unwrap_beacon(
     const NodeId node{r.u16()};
     const std::uint8_t q = r.u8();
     // The footer entry about *us* carries the reverse-direction quality.
-    if (node == self_) {
+    if (node == address_) {
       reported_us = true;
       reported_prr = dequantize_prr(q);
     }
@@ -76,12 +76,10 @@ std::optional<std::vector<std::uint8_t>> BroadcastEtxEstimator::unwrap_beacon(
   const auto payload_span = r.rest();
   std::vector<std::uint8_t> payload{payload_span.begin(), payload_span.end()};
 
-  Table::Entry* entry = table_.find(from);
+  Entry* entry = find(from);
   if (entry == nullptr) {
-    if (try_admit(from, phy, payload)) {
-      entry = table_.insert(from, LinkState{config_});
-      FOURBIT_ASSERT(entry != nullptr, "admission promised a free slot");
-      entry->data.has_seq = true;
+    if (admit(from, phy, payload)) {
+      entry = &insert(from, BroadcastEtxLinkState{config_}, seq);
       entry->data.last_seq = seq;
       entry->data.window_received = 1;
       entry->data.window_expected = 1;
@@ -91,7 +89,7 @@ std::optional<std::vector<std::uint8_t>> BroadcastEtxEstimator::unwrap_beacon(
       entry->data.inbound_prr.seed(1.0);
     }
   } else {
-    LinkState& st = entry->data;
+    BroadcastEtxLinkState& st = entry->data;
     const std::uint8_t gap = static_cast<std::uint8_t>(seq - st.last_seq);
     st.window_expected += std::max<std::uint32_t>(gap, 1);
     st.window_received += 1;
@@ -113,48 +111,10 @@ std::optional<std::vector<std::uint8_t>> BroadcastEtxEstimator::unwrap_beacon(
   return payload;
 }
 
-bool BroadcastEtxEstimator::try_admit(
-    NodeId from, const link::PacketPhyInfo& phy,
-    std::span<const std::uint8_t> payload) {
-  if (!table_.full()) return true;
-
-  const auto evict = [this](sim::EvictReason reason) {
-    const auto victim = table_.evict_random_unpinned(rng_);
-    if (victim && telemetry_ != nullptr) {
-      telemetry_->emit(sim::EventKind::kTableEvict, self_.value(),
-                       victim->value(), 0,
-                       static_cast<std::uint16_t>(reason));
-    }
-    return victim.has_value();
-  };
-
-  switch (config_.insertion) {
-    case core::InsertionPolicy::kWhiteCompare:
-      // White/compare is a fast path SUPPLEMENTING the baseline
-      // probabilistic replacement (see FourBitEstimator::try_admit).
-      if (phy.white && compare_ != nullptr &&
-          compare_->compare_bit(from, payload)) {
-        return evict(sim::EvictReason::kWhiteCompare);
-      }
-      if (!rng_.bernoulli(config_.probabilistic_insert_p)) return false;
-      return evict(sim::EvictReason::kProbabilistic);
-    case core::InsertionPolicy::kProbabilistic:
-      if (!rng_.bernoulli(config_.probabilistic_insert_p)) return false;
-      return evict(sim::EvictReason::kProbabilistic);
-    case core::InsertionPolicy::kNever:
-      return false;
-  }
-  return false;
-}
-
-bool BroadcastEtxEstimator::pin(NodeId n) { return table_.pin(n); }
-void BroadcastEtxEstimator::unpin(NodeId n) { table_.unpin(n); }
-void BroadcastEtxEstimator::clear_pins() { table_.clear_pins(); }
-
 std::optional<double> BroadcastEtxEstimator::etx(NodeId n) const {
-  const Table::Entry* entry = table_.find(n);
+  const Entry* entry = find(n);
   if (entry == nullptr) return std::nullopt;
-  const LinkState& st = entry->data;
+  const BroadcastEtxLinkState& st = entry->data;
   // Bidirectional ETX needs both directions: our inbound measurement and
   // their reported reverse quality. Without the reverse report (we are
   // not in their table) the link cannot be used — the in-degree limit.
@@ -165,36 +125,15 @@ std::optional<double> BroadcastEtxEstimator::etx(NodeId n) const {
 }
 
 std::optional<double> BroadcastEtxEstimator::inbound_quality(NodeId n) const {
-  const Table::Entry* e = table_.find(n);
+  const Entry* e = find(n);
   if (e == nullptr || !e->data.inbound_prr.has_value()) return std::nullopt;
   return e->data.inbound_prr.value();
 }
 
 std::optional<double> BroadcastEtxEstimator::reverse_quality(NodeId n) const {
-  const Table::Entry* e = table_.find(n);
+  const Entry* e = find(n);
   if (e == nullptr || !e->data.has_reverse) return std::nullopt;
   return e->data.reverse_prr;
-}
-
-std::vector<NodeId> BroadcastEtxEstimator::neighbors() const {
-  std::vector<NodeId> out;
-  out.reserve(table_.size());
-  for (const auto& e : table_.entries()) out.push_back(e.node);
-  return out;
-}
-
-bool BroadcastEtxEstimator::remove(NodeId n) {
-  const Table::Entry* entry = table_.find(n);
-  if (entry == nullptr) return true;
-  if (entry->pinned) {
-    if (telemetry_ != nullptr) {
-      telemetry_->emit(
-          sim::EventKind::kTableEvict, self_.value(), n.value(), 0,
-          static_cast<std::uint16_t>(sim::EvictReason::kRefusedPinned));
-    }
-    return false;
-  }
-  return table_.remove(n);
 }
 
 }  // namespace fourbit::estimators

@@ -10,6 +10,10 @@
 //     the table size caps a node's useful in-degree;
 //   * estimates move only at the beacon rate: when a link dies under data
 //     traffic, the estimator finds out beacons later, not acks later.
+//
+// The table, the pin bit, admission (Woo's probabilistic rule, or the
+// white/compare supplement of the "CTP + white/compare" variant) and
+// their trace events come from link::TableEstimator.
 #pragma once
 
 #include <cstdint>
@@ -19,9 +23,7 @@
 
 #include "common/ids.hpp"
 #include "common/ring_window.hpp"
-#include "core/four_bit_config.hpp"
-#include "link/estimator.hpp"
-#include "link/neighbor_table.hpp"
+#include "link/table_estimator.hpp"
 #include "sim/rng.hpp"
 
 namespace fourbit::estimators {
@@ -42,13 +44,26 @@ struct BroadcastEtxConfig {
 
   /// Table admission rule. kProbabilistic is the Woo baseline; the
   /// "CTP + white/compare" variant of Figure 6 uses kWhiteCompare.
-  core::InsertionPolicy insertion = core::InsertionPolicy::kProbabilistic;
+  link::InsertionPolicy insertion = link::InsertionPolicy::kProbabilistic;
   double probabilistic_insert_p = 0.25;
 
   double max_etx = 16.0;
 };
 
-class BroadcastEtxEstimator final : public link::LinkEstimator {
+struct BroadcastEtxLinkState {
+  std::uint8_t last_seq = 0;
+  std::uint32_t window_received = 0;
+  std::uint32_t window_expected = 0;
+  Ewma inbound_prr;  // what we receive from them
+  bool has_reverse = false;
+  double reverse_prr = 0.0;  // what they report receiving from us
+
+  explicit BroadcastEtxLinkState(const BroadcastEtxConfig& cfg)
+      : inbound_prr(cfg.prr_history) {}
+};
+
+class BroadcastEtxEstimator final
+    : public link::TableEstimator<BroadcastEtxLinkState> {
  public:
   /// `self` is this node's address — needed to recognize this node in
   /// incoming beacon footers (the reverse-direction quality report).
@@ -63,61 +78,19 @@ class BroadcastEtxEstimator final : public link::LinkEstimator {
   /// The stock estimator has no link-layer input: acks are ignored.
   void on_unicast_result(NodeId, bool) override {}
 
-  bool pin(NodeId n) override;
-  void unpin(NodeId n) override;
-  void clear_pins() override;
   [[nodiscard]] std::optional<double> etx(NodeId n) const override;
-  [[nodiscard]] std::vector<NodeId> neighbors() const override;
-  [[nodiscard]] std::vector<NodeId> pinned() const override {
-    return table_.pinned_nodes();
-  }
-  [[nodiscard]] std::size_t table_capacity() const override {
-    return table_.capacity();
-  }
-  bool remove(NodeId n) override;
-  void set_compare_provider(link::CompareProvider* provider) override {
-    compare_ = provider;
-  }
-  void set_telemetry(sim::TelemetryContext* telemetry, NodeId) override {
-    telemetry_ = telemetry;
-  }
   void reset() override {
-    table_.clear();
-    beacon_seq_ = 0;
+    TableEstimator::reset();
     footer_rotation_ = 0;
   }
 
   // Introspection for tests.
   [[nodiscard]] std::optional<double> inbound_quality(NodeId n) const;
   [[nodiscard]] std::optional<double> reverse_quality(NodeId n) const;
-  [[nodiscard]] std::size_t table_size() const { return table_.size(); }
 
  private:
-  struct LinkState {
-    bool has_seq = false;
-    std::uint8_t last_seq = 0;
-    std::uint32_t window_received = 0;
-    std::uint32_t window_expected = 0;
-    Ewma inbound_prr;  // what we receive from them
-    bool has_reverse = false;
-    double reverse_prr = 0.0;  // what they report receiving from us
-
-    explicit LinkState(const BroadcastEtxConfig& cfg)
-        : inbound_prr(cfg.prr_history) {}
-  };
-
-  using Table = link::NeighborTable<LinkState>;
-
-  [[nodiscard]] bool try_admit(NodeId from, const link::PacketPhyInfo& phy,
-                               std::span<const std::uint8_t> payload);
-
-  NodeId self_;
+  NodeId address_;
   BroadcastEtxConfig config_;
-  sim::Rng rng_;
-  Table table_;
-  link::CompareProvider* compare_ = nullptr;
-  sim::TelemetryContext* telemetry_ = nullptr;
-  std::uint8_t beacon_seq_ = 0;
   std::size_t footer_rotation_ = 0;
 };
 

@@ -4,61 +4,42 @@
 #include <cmath>
 
 #include "common/byte_io.hpp"
-#include "sim/telemetry.hpp"
 
 namespace fourbit::estimators {
 
-LqiEstimator::LqiEstimator(LqiEstimatorConfig config, sim::Rng rng)
-    : config_(config), rng_(rng), table_(config.table_capacity) {}
-
-std::vector<std::uint8_t> LqiEstimator::wrap_beacon(
-    std::span<const std::uint8_t> routing_payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(1 + routing_payload.size());
-  ByteWriter w{out};
-  w.u8(beacon_seq_++);
-  w.bytes(routing_payload);
-  return out;
-}
+LqiEstimator::LqiEstimator(LqiEstimatorConfig config)
+    : TableEstimator(config.table_capacity), config_(config) {}
 
 std::optional<std::vector<std::uint8_t>> LqiEstimator::unwrap_beacon(
     NodeId from, std::span<const std::uint8_t> bytes,
     const link::PacketPhyInfo& phy) {
   ByteReader r{bytes};
-  (void)r.u8();  // sequence number: LQI estimation does not need gaps
+  const std::uint8_t seq = r.u8();  // LQI estimation does not need gaps
   if (!r.ok()) return std::nullopt;
   const auto payload_span = r.rest();
   std::vector<std::uint8_t> payload{payload_span.begin(), payload_span.end()};
-  note_lqi(from, phy.lqi);
+  note_lqi(from, phy.lqi, seq);
   return payload;
 }
 
 void LqiEstimator::on_data_rx(NodeId from, const link::PacketPhyInfo& phy) {
-  note_lqi(from, phy.lqi);
+  note_lqi(from, phy.lqi, 0);
 }
 
-void LqiEstimator::note_lqi(NodeId from, int lqi) {
-  Table::Entry* entry = table_.find(from);
+void LqiEstimator::note_lqi(NodeId from, int lqi, std::uint8_t seq) {
+  Entry* entry = find(from);
   if (entry == nullptr) {
-    if (table_.full()) {
-      // PHY information is free, so eviction favors keeping the
-      // best-looking links: drop the worst smoothed LQI.
-      const auto victim = table_.evict_worst_unpinned(
-          [](const Table::Entry& worst, const Table::Entry& e) {
-            const double a =
-                worst.data.lqi.has_value() ? worst.data.lqi.value() : 1e9;
-            const double b = e.data.lqi.has_value() ? e.data.lqi.value() : 1e9;
-            return b < a;  // e is worse than current worst
-          });
-      if (!victim) return;
-      if (telemetry_ != nullptr) {
-        telemetry_->emit(
-            sim::EventKind::kTableEvict, self_, victim->value(), 0,
-            static_cast<std::uint16_t>(sim::EvictReason::kProbabilistic));
-      }
-    }
-    entry = table_.insert(from, LinkState{config_});
-    if (entry == nullptr) return;
+    // PHY information is free, so eviction favors keeping the
+    // best-looking links: drop the worst smoothed LQI.
+    const bool room =
+        admit_worst(from, [](const Entry& worst, const Entry& e) {
+          const double a =
+              worst.data.lqi.has_value() ? worst.data.lqi.value() : 1e9;
+          const double b = e.data.lqi.has_value() ? e.data.lqi.value() : 1e9;
+          return b < a;  // e is worse than current worst
+        });
+    if (!room) return;
+    entry = &insert(from, LqiLinkState{config_}, seq);
   }
   entry->data.lqi.update(static_cast<double>(lqi));
 }
@@ -70,40 +51,15 @@ double LqiEstimator::lqi_to_etx(double lqi) const {
 }
 
 std::optional<double> LqiEstimator::etx(NodeId n) const {
-  const Table::Entry* e = table_.find(n);
-  if (e == nullptr || !e->data.lqi.has_value()) return std::nullopt;
-  return lqi_to_etx(e->data.lqi.value());
+  const auto lqi = smoothed_lqi(n);
+  if (!lqi) return std::nullopt;
+  return lqi_to_etx(*lqi);
 }
 
 std::optional<double> LqiEstimator::smoothed_lqi(NodeId n) const {
-  const Table::Entry* e = table_.find(n);
+  const Entry* e = find(n);
   if (e == nullptr || !e->data.lqi.has_value()) return std::nullopt;
   return e->data.lqi.value();
-}
-
-bool LqiEstimator::pin(NodeId n) { return table_.pin(n); }
-void LqiEstimator::unpin(NodeId n) { table_.unpin(n); }
-void LqiEstimator::clear_pins() { table_.clear_pins(); }
-
-std::vector<NodeId> LqiEstimator::neighbors() const {
-  std::vector<NodeId> out;
-  out.reserve(table_.size());
-  for (const auto& e : table_.entries()) out.push_back(e.node);
-  return out;
-}
-
-bool LqiEstimator::remove(NodeId n) {
-  const Table::Entry* entry = table_.find(n);
-  if (entry == nullptr) return true;
-  if (entry->pinned) {
-    if (telemetry_ != nullptr) {
-      telemetry_->emit(
-          sim::EventKind::kTableEvict, self_, n.value(), 0,
-          static_cast<std::uint16_t>(sim::EvictReason::kRefusedPinned));
-    }
-    return false;
-  }
-  return table_.remove(n);
 }
 
 }  // namespace fourbit::estimators

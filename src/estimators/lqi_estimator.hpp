@@ -6,6 +6,11 @@
 // interference keeps reporting pristine LQI on its survivors (the paper's
 // Figure 3), so the estimate never degrades. on_unicast_result is
 // deliberately ignored — MultiHopLQI has no link-layer feedback path.
+//
+// The table, the pin bit and their trace events come from
+// link::TableEstimator. PHY information is free, so a full table admits
+// every new sender by evicting the unpinned entry with the worst
+// smoothed LQI (EvictReason::kWorstLink); nothing here draws randomness.
 #pragma once
 
 #include <cstdint>
@@ -15,9 +20,7 @@
 
 #include "common/ids.hpp"
 #include "common/ring_window.hpp"
-#include "link/estimator.hpp"
-#include "link/neighbor_table.hpp"
-#include "sim/rng.hpp"
+#include "link/table_estimator.hpp"
 
 namespace fourbit::estimators {
 
@@ -41,12 +44,16 @@ struct LqiEstimatorConfig {
   double max_etx = 16.0;
 };
 
-class LqiEstimator final : public link::LinkEstimator {
- public:
-  LqiEstimator(LqiEstimatorConfig config, sim::Rng rng);
+struct LqiLinkState {
+  Ewma lqi;
+  explicit LqiLinkState(const LqiEstimatorConfig& cfg)
+      : lqi(cfg.lqi_history) {}
+};
 
-  [[nodiscard]] std::vector<std::uint8_t> wrap_beacon(
-      std::span<const std::uint8_t> routing_payload) override;
+class LqiEstimator final : public link::TableEstimator<LqiLinkState> {
+ public:
+  explicit LqiEstimator(LqiEstimatorConfig config);
+
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> unwrap_beacon(
       NodeId from, std::span<const std::uint8_t> bytes,
       const link::PacketPhyInfo& phy) override;
@@ -57,27 +64,7 @@ class LqiEstimator final : public link::LinkEstimator {
   /// Data packets also carry LQI; MultiHopLQI-class protocols read it.
   void on_data_rx(NodeId from, const link::PacketPhyInfo& phy) override;
 
-  bool pin(NodeId n) override;
-  void unpin(NodeId n) override;
-  void clear_pins() override;
   [[nodiscard]] std::optional<double> etx(NodeId n) const override;
-  [[nodiscard]] std::vector<NodeId> neighbors() const override;
-  [[nodiscard]] std::vector<NodeId> pinned() const override {
-    return table_.pinned_nodes();
-  }
-  [[nodiscard]] std::size_t table_capacity() const override {
-    return table_.capacity();
-  }
-  bool remove(NodeId n) override;
-  void set_compare_provider(link::CompareProvider*) override {}
-  void set_telemetry(sim::TelemetryContext* telemetry, NodeId self) override {
-    telemetry_ = telemetry;
-    self_ = self.value();
-  }
-  void reset() override {
-    table_.clear();
-    beacon_seq_ = 0;
-  }
 
   [[nodiscard]] std::optional<double> smoothed_lqi(NodeId n) const;
 
@@ -85,22 +72,11 @@ class LqiEstimator final : public link::LinkEstimator {
   [[nodiscard]] double lqi_to_etx(double lqi) const;
 
  private:
-  struct LinkState {
-    Ewma lqi;
-    explicit LinkState(const LqiEstimatorConfig& cfg)
-        : lqi(cfg.lqi_history) {}
-  };
-
-  using Table = link::NeighborTable<LinkState>;
-
-  void note_lqi(NodeId from, int lqi);
+  /// `seq` is the admitting beacon's sequence number (0 for a data
+  /// packet); it only labels a table-insert event.
+  void note_lqi(NodeId from, int lqi, std::uint8_t seq);
 
   LqiEstimatorConfig config_;
-  sim::Rng rng_;
-  Table table_;
-  sim::TelemetryContext* telemetry_ = nullptr;
-  std::uint16_t self_ = 0xFFFF;
-  std::uint8_t beacon_seq_ = 0;
 };
 
 }  // namespace fourbit::estimators

@@ -178,9 +178,13 @@ CampaignReport dispatch_campaign(const std::vector<ExperimentConfig>& trials,
   report.completed.assign(trials.size(), 0);
   if (trials.empty()) return report;
 
-  // The peers: the hosts, or else `workers` local worker processes, or
-  // none — an in-process run, whose local pass below runs every trial.
-  const bool local_workers = options.hosts.empty() && options.workers > 0;
+  // The peers: the hosts, or `workers` local worker processes, or none
+  // — an in-process run, whose local pass below runs every trial.
+  if (!options.hosts.empty() && options.workers > 0) {
+    throw std::invalid_argument(
+        "dispatch_campaign: hosts and workers are mutually exclusive");
+  }
+  const bool local_workers = options.workers > 0;
   if (local_workers && options.exec_argv.empty()) {
     throw std::runtime_error(
         "dispatch_campaign: workers need exec_argv (pass "

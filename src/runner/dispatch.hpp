@@ -68,7 +68,7 @@ struct DispatchOptions {
   /// the local pass only.
   SupervisorOptions supervisor;
   /// Local worker processes to drive (from --workers); 0 = none.
-  /// Ignored when hosts is non-empty.
+  /// Mutually exclusive with hosts.
   std::size_t workers = 0;
   /// The workers' self-exec command: the ORIGINAL argv
   /// (CampaignCli::exec_argv). The coordinator appends --worker-fd/
@@ -122,7 +122,8 @@ struct DispatchOptions {
 /// when it has none. Blocks until every trial is settled (completed,
 /// failed, or failed-permanent) and every worker is reaped. Never throws
 /// on peer misbehavior — only on coordinator-side setup errors (an
-/// unopenable journal, a failed fork, workers without exec_argv).
+/// unopenable journal, a failed fork, workers without exec_argv, hosts
+/// and workers both set).
 [[nodiscard]] CampaignReport dispatch_campaign(
     const std::vector<ExperimentConfig>& trials,
     const DispatchOptions& options);

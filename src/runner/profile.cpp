@@ -32,27 +32,27 @@ std::unique_ptr<link::LinkEstimator> make_estimator(
       core::FourBitConfig cfg =
           four_bit_override.value_or(core::FourBitConfig{});
       cfg.table_capacity = table_capacity;
-      cfg.insertion = core::InsertionPolicy::kWhiteCompare;
+      cfg.insertion = link::InsertionPolicy::kWhiteCompare;
       return std::make_unique<core::FourBitEstimator>(cfg, rng);
     }
     case Profile::kCtpUnidirAck: {
       core::FourBitConfig cfg =
           four_bit_override.value_or(core::FourBitConfig{});
       cfg.table_capacity = table_capacity;
-      cfg.insertion = core::InsertionPolicy::kProbabilistic;
+      cfg.insertion = link::InsertionPolicy::kProbabilistic;
       return std::make_unique<core::FourBitEstimator>(cfg, rng);
     }
     case Profile::kCtpT2: {
       estimators::BroadcastEtxConfig cfg;
       cfg.table_capacity = table_capacity;
-      cfg.insertion = core::InsertionPolicy::kProbabilistic;
+      cfg.insertion = link::InsertionPolicy::kProbabilistic;
       return std::make_unique<estimators::BroadcastEtxEstimator>(self, cfg,
                                                                  rng);
     }
     case Profile::kCtpWhiteCompare: {
       estimators::BroadcastEtxConfig cfg;
       cfg.table_capacity = table_capacity;
-      cfg.insertion = core::InsertionPolicy::kWhiteCompare;
+      cfg.insertion = link::InsertionPolicy::kWhiteCompare;
       return std::make_unique<estimators::BroadcastEtxEstimator>(self, cfg,
                                                                  rng);
     }
@@ -60,14 +60,14 @@ std::unique_ptr<link::LinkEstimator> make_estimator(
       estimators::BroadcastEtxConfig cfg;
       cfg.table_capacity = 0;  // unbounded
       cfg.footer_max = 24;     // bigger LEEP frames keep reverse info fresh
-      cfg.insertion = core::InsertionPolicy::kProbabilistic;
+      cfg.insertion = link::InsertionPolicy::kProbabilistic;
       return std::make_unique<estimators::BroadcastEtxEstimator>(self, cfg,
                                                                  rng);
     }
     case Profile::kMultihopLqi: {
       estimators::LqiEstimatorConfig cfg;
       cfg.table_capacity = 16;
-      return std::make_unique<estimators::LqiEstimator>(cfg, rng);
+      return std::make_unique<estimators::LqiEstimator>(cfg);
     }
   }
   return nullptr;

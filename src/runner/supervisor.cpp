@@ -442,6 +442,12 @@ CampaignCli consume_campaign_cli(int& argc, char** argv) {
         "mutually exclusive\n");
     std::exit(2);
   }
+  if (cli.workers > 0 && !cli.hosts.empty()) {
+    std::fprintf(stderr,
+                 "error: --workers (local worker pool) and --hosts (host "
+                 "fleet) are mutually exclusive\n");
+    std::exit(2);
+  }
   return cli;
 }
 

@@ -115,6 +115,7 @@ enum class EvictReason : std::uint16_t {
   kProbabilistic = 1,  // baseline probabilistic replacement
   kNetworkRemove = 2,  // network layer gave up on the link
   kRefusedPinned = 3,  // removal refused: entry pinned (nothing evicted)
+  kWorstLink = 4,      // worst-link replacement (MultiHopLQI: lowest LQI)
 };
 
 /// kEtxUpdate arg: which stream fed the outer EWMA (Figure 5's kb/ku).

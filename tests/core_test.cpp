@@ -124,7 +124,7 @@ TEST(FourBitTest, FreeSlotAdmitsAnyBeacon) {
 TEST(FourBitTest, FullTableWhiteCompareAdmits) {
   FourBitConfig cfg;
   cfg.table_capacity = 2;
-  cfg.insertion = InsertionPolicy::kWhiteCompare;
+  cfg.insertion = link::InsertionPolicy::kWhiteCompare;
   cfg.probabilistic_insert_p = 0.0;  // isolate the fast path
   FourBitEstimator est{cfg, sim::Rng{1}};
   StubCompare compare{true};
@@ -144,7 +144,7 @@ TEST(FourBitTest, FullTableWhiteCompareAdmits) {
 TEST(FourBitTest, FullTableWithoutWhiteUsesFallbackOnly) {
   FourBitConfig cfg;
   cfg.table_capacity = 2;
-  cfg.insertion = InsertionPolicy::kWhiteCompare;
+  cfg.insertion = link::InsertionPolicy::kWhiteCompare;
   cfg.probabilistic_insert_p = 0.0;
   FourBitEstimator est{cfg, sim::Rng{1}};
   StubCompare compare{true};
@@ -161,7 +161,7 @@ TEST(FourBitTest, FullTableWithoutWhiteUsesFallbackOnly) {
 TEST(FourBitTest, CompareFalseFallsBackToProbabilistic) {
   FourBitConfig cfg;
   cfg.table_capacity = 1;
-  cfg.insertion = InsertionPolicy::kWhiteCompare;
+  cfg.insertion = link::InsertionPolicy::kWhiteCompare;
   cfg.probabilistic_insert_p = 1.0;  // fallback always admits
   FourBitEstimator est{cfg, sim::Rng{1}};
   StubCompare compare{false};
@@ -211,7 +211,7 @@ TEST(FourBitTest, PinnedEntrySurvivesChurn) {
 TEST(FourBitTest, NeverPolicyOnlyFillsFreeSlots) {
   FourBitConfig cfg;
   cfg.table_capacity = 1;
-  cfg.insertion = InsertionPolicy::kNever;
+  cfg.insertion = link::InsertionPolicy::kNever;
   FourBitEstimator est{cfg, sim::Rng{1}};
   beacon(est, NodeId{1}, 0);
   beacon(est, NodeId{2}, 0);

@@ -29,6 +29,7 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -620,6 +621,17 @@ TEST(DispatchCliDeathTest, ServePlusHostsExitsTwo) {
               ::testing::ExitedWithCode(2), "mutually exclusive");
 }
 
+TEST(DispatchCliDeathTest, WorkersPlusHostsExitsTwo) {
+  EXPECT_EXIT(parse_cli({"--workers", "2", "--hosts", "a:1"}),
+              ::testing::ExitedWithCode(2), "mutually exclusive");
+}
+
+TEST(DispatchCliTest, ServeWithWorkersStaysLegal) {
+  const auto agent = parse_cli({"--serve", "0", "--workers", "2"});
+  EXPECT_EQ(agent.serve_port, 0);
+  EXPECT_EQ(agent.workers, 2u);
+}
+
 // ---- journal write-failure latch (satellite bugfix) -------------------
 
 TEST(JournalWriteFailureTest, LatchesDisabledInsteadOfThrowing) {
@@ -700,6 +712,14 @@ TEST(DispatchTest, EmptyHostListRunsLocally) {
     expect_identical(report.results[i], reference.results[i]);
   }
   EXPECT_EQ(report.host_losses, 0u);
+}
+
+TEST(DispatchTest, HostsWithWorkersThrows) {
+  DispatchOptions options = dt_options({dead_port()});
+  options.workers = 2;
+  options.exec_argv = {"bench"};
+  EXPECT_THROW((void)dispatch_campaign(scenario_trials(2, 300), options),
+               std::invalid_argument);
 }
 
 TEST(DispatchTest, CleanTwoHostRunMatchesSingleProcess) {

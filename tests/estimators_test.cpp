@@ -8,6 +8,7 @@
 #include "estimators/broadcast_etx.hpp"
 #include "estimators/lqi_estimator.hpp"
 #include "sim/rng.hpp"
+#include "sim/telemetry.hpp"
 
 namespace fourbit::estimators {
 namespace {
@@ -126,7 +127,7 @@ TEST(BroadcastEtxTest, FooterRotationEventuallyReportsEveryone) {
 TEST(BroadcastEtxTest, TableLimitCapsTrackedNeighbors) {
   BroadcastEtxConfig cfg;
   cfg.table_capacity = 4;
-  cfg.insertion = core::InsertionPolicy::kNever;
+  cfg.insertion = link::InsertionPolicy::kNever;
   BroadcastEtxEstimator e{NodeId{0}, cfg, sim::Rng{1}};
   const std::vector<std::uint8_t> payload;
   BroadcastEtxEstimator peer{NodeId{1}, cfg, sim::Rng{9}};
@@ -158,7 +159,7 @@ TEST(BroadcastEtxTest, MalformedBeaconRejected) {
 TEST(BroadcastEtxTest, PinProtectsEntry) {
   BroadcastEtxConfig cfg;
   cfg.table_capacity = 2;
-  cfg.insertion = core::InsertionPolicy::kProbabilistic;
+  cfg.insertion = link::InsertionPolicy::kProbabilistic;
   cfg.probabilistic_insert_p = 1.0;
   BroadcastEtxEstimator e{NodeId{0}, cfg, sim::Rng{1}};
   const std::vector<std::uint8_t> payload;
@@ -176,7 +177,7 @@ TEST(BroadcastEtxTest, PinProtectsEntry) {
 // ---- LqiEstimator ---------------------------------------------------------------
 
 TEST(LqiEstimatorTest, MappingMonotoneAndClamped) {
-  LqiEstimator e{LqiEstimatorConfig{}, sim::Rng{1}};
+  LqiEstimator e{LqiEstimatorConfig{}};
   EXPECT_DOUBLE_EQ(e.lqi_to_etx(110.0), 1.0);
   EXPECT_DOUBLE_EQ(e.lqi_to_etx(200.0), 1.0);
   EXPECT_DOUBLE_EQ(e.lqi_to_etx(0.0), LqiEstimatorConfig{}.max_etx);
@@ -189,7 +190,7 @@ TEST(LqiEstimatorTest, MappingMonotoneAndClamped) {
 }
 
 TEST(LqiEstimatorTest, BeaconLqiDrivesEtx) {
-  LqiEstimator e{LqiEstimatorConfig{}, sim::Rng{1}};
+  LqiEstimator e{LqiEstimatorConfig{}};
   const std::vector<std::uint8_t> wire{0};
   (void)e.unwrap_beacon(NodeId{1}, wire, info(true, 108));
   ASSERT_TRUE(e.etx(NodeId{1}).has_value());
@@ -201,7 +202,7 @@ TEST(LqiEstimatorTest, BeaconLqiDrivesEtx) {
 TEST(LqiEstimatorTest, SmoothingBlendsReadings) {
   LqiEstimatorConfig cfg;
   cfg.lqi_history = 0.5;
-  LqiEstimator e{cfg, sim::Rng{1}};
+  LqiEstimator e{cfg};
   const std::vector<std::uint8_t> wire{0};
   (void)e.unwrap_beacon(NodeId{1}, wire, info(true, 100));
   (void)e.unwrap_beacon(NodeId{1}, wire, info(true, 80));
@@ -211,14 +212,14 @@ TEST(LqiEstimatorTest, SmoothingBlendsReadings) {
 TEST(LqiEstimatorTest, DataPacketsAlsoFeedLqi) {
   LqiEstimatorConfig cfg;
   cfg.lqi_history = 0.0;
-  LqiEstimator e{cfg, sim::Rng{1}};
+  LqiEstimator e{cfg};
   e.on_data_rx(NodeId{4}, info(true, 95));
   ASSERT_TRUE(e.smoothed_lqi(NodeId{4}).has_value());
   EXPECT_DOUBLE_EQ(e.smoothed_lqi(NodeId{4}).value(), 95.0);
 }
 
 TEST(LqiEstimatorTest, AckBitDeliberatelyIgnored) {
-  LqiEstimator e{LqiEstimatorConfig{}, sim::Rng{1}};
+  LqiEstimator e{LqiEstimatorConfig{}};
   const std::vector<std::uint8_t> wire{0};
   (void)e.unwrap_beacon(NodeId{1}, wire, info(true, 108));
   const double before = e.etx(NodeId{1}).value();
@@ -227,24 +228,42 @@ TEST(LqiEstimatorTest, AckBitDeliberatelyIgnored) {
       << "MultiHopLQI has no link-layer feedback by definition";
 }
 
+struct EvictCapture final : sim::TelemetrySink {
+  std::vector<sim::TelemetryEvent> evictions;
+  void on_event(const sim::TelemetryEvent& event) override {
+    if (event.kind == sim::EventKind::kTableEvict) evictions.push_back(event);
+  }
+};
+
 TEST(LqiEstimatorTest, FullTableEvictsWorstLqi) {
   LqiEstimatorConfig cfg;
   cfg.table_capacity = 2;
   cfg.lqi_history = 0.0;
-  LqiEstimator e{cfg, sim::Rng{1}};
+  LqiEstimator e{cfg};
+  sim::TelemetryContext telemetry;
+  EvictCapture sink;
+  telemetry.set_sink(&sink);
+  e.set_telemetry(&telemetry, NodeId{0});
   e.on_data_rx(NodeId{1}, info(true, 60));   // worst
   e.on_data_rx(NodeId{2}, info(true, 100));
   e.on_data_rx(NodeId{3}, info(true, 108));  // evicts node 1
   EXPECT_FALSE(e.smoothed_lqi(NodeId{1}).has_value());
   EXPECT_TRUE(e.smoothed_lqi(NodeId{2}).has_value());
   EXPECT_TRUE(e.smoothed_lqi(NodeId{3}).has_value());
+  telemetry.set_sink(nullptr);
+  ASSERT_EQ(sink.evictions.size(), 1u);
+  EXPECT_EQ(sink.evictions[0].peer, 1u);
+  EXPECT_EQ(sink.evictions[0].arg, 3u) << "arg names the admitted node";
+  EXPECT_EQ(sink.evictions[0].arg2,
+            static_cast<std::uint16_t>(sim::EvictReason::kWorstLink))
+      << "worst-LQI replacement is not probabilistic";
 }
 
 TEST(LqiEstimatorTest, PinBlocksEviction) {
   LqiEstimatorConfig cfg;
   cfg.table_capacity = 1;
   cfg.lqi_history = 0.0;
-  LqiEstimator e{cfg, sim::Rng{1}};
+  LqiEstimator e{cfg};
   e.on_data_rx(NodeId{1}, info(true, 60));
   EXPECT_TRUE(e.pin(NodeId{1}));
   e.on_data_rx(NodeId{2}, info(true, 110));
